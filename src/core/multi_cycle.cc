@@ -48,16 +48,11 @@ predictWindowsImpl(const ApolloModel &model, const BitColumnMatrix &X,
     }
 
     std::vector<float> out;
-    for (const SegmentInfo &seg : segments) {
-        const size_t windows = seg.cycles() / T;
-        for (size_t w = 0; w < windows; ++w) {
-            double acc = 0.0;
-            for (uint32_t t = 0; t < T; ++t)
-                acc += per_cycle[seg.begin + w * T + t];
-            out.push_back(static_cast<float>(
-                model.intercept + acc / static_cast<double>(T)));
-        }
-    }
+    for (const SegmentInfo &seg : segments)
+        WindowFold(T, model.intercept)
+            .push(std::span<const float>(per_cycle).subspan(
+                      seg.begin, seg.cycles()),
+                  out);
     if (out.empty())
         return Status::invalidArgument(
             "no full windows at T=", T,
@@ -66,6 +61,19 @@ predictWindowsImpl(const ApolloModel &model, const BitColumnMatrix &X,
 }
 
 } // namespace
+
+void
+WindowFold::push(std::span<const float> values, std::vector<float> &out)
+{
+    for (const float v : values) {
+        acc_ += v;
+        if (++phase_ == T_) {
+            out.push_back(static_cast<float>(
+                offset_ + acc_ / static_cast<double>(T_)));
+            reset();
+        }
+    }
+}
 
 StatusOr<std::vector<float>>
 MultiCycleModel::predictWindowsFull(
@@ -109,16 +117,8 @@ windowAverageLabels(std::span<const float> y, uint32_t T,
     if (Status st = checkSegments(segments, y.size()); !st.ok())
         return st;
     std::vector<float> out;
-    for (const SegmentInfo &seg : segments) {
-        const size_t windows = seg.cycles() / T;
-        for (size_t w = 0; w < windows; ++w) {
-            double acc = 0.0;
-            for (uint32_t t = 0; t < T; ++t)
-                acc += y[seg.begin + w * T + t];
-            out.push_back(
-                static_cast<float>(acc / static_cast<double>(T)));
-        }
-    }
+    for (const SegmentInfo &seg : segments)
+        WindowFold(T, 0.0).push(y.subspan(seg.begin, seg.cycles()), out);
     if (out.empty())
         return Status::invalidArgument(
             "no full windows at T=", T,

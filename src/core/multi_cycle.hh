@@ -51,6 +51,38 @@ struct MultiCycleModel
         std::span<const SegmentInfo> segments) const;
 };
 
+/**
+ * The Eq. (9) window fold: a double accumulator and a window phase,
+ * carried across push() calls. Every T-th folded value completes a
+ * window and emits float(offset + acc / T). This is the one
+ * production loop behind every float window average —
+ * predictWindows*, windowAverageLabels and the windowed streaming
+ * pipeline — so they agree bit for bit. Drop the fold (or reset() it)
+ * to discard a trailing partial window.
+ */
+class WindowFold
+{
+  public:
+    WindowFold(uint32_t T, double offset) : T_(T), offset_(offset) {}
+
+    /** Fold @p values in order, appending completed windows to @p out. */
+    void push(std::span<const float> values, std::vector<float> &out);
+
+    /** Discard the partial window. */
+    void
+    reset()
+    {
+        acc_ = 0.0;
+        phase_ = 0;
+    }
+
+  private:
+    uint32_t T_;
+    double offset_;
+    double acc_ = 0.0;
+    uint32_t phase_ = 0;
+};
+
 /** Train APOLLO_tau from a per-cycle dataset. */
 MultiCycleModel trainMultiCycle(const Dataset &train, uint32_t tau,
                                 const ApolloTrainConfig &config,

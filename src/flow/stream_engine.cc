@@ -5,13 +5,11 @@
 #include <chrono>
 #include <ostream>
 
-#include <cstdlib>
-#include <string_view>
-
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "opm/opm_bitparallel.hh"
 #include "opm/opm_simulator.hh"
+#include "util/popcnt_kernels.hh"
 #include "util/thread_pool.hh"
 
 namespace apollo {
@@ -61,32 +59,6 @@ class TimedSink : public PowerSink
     double &seconds_;
 };
 
-/**
- * Kernel table for a quantized pipeline, honoring APOLLO_POPCNT
- * (read at construction so benches and tests can switch between
- * engine runs): unset/empty or an unknown value = dispatched best,
- * a known implementation name = that table, "off"/"0" = the legacy
- * per-cycle path (nullptr). Tiny windows always take the legacy path.
- */
-const popkernels::Kernels *
-selectPopcountKernels(uint32_t T)
-{
-    if (T < StreamPipeline::kBitParallelMinT)
-        return nullptr;
-    const char *env = std::getenv("APOLLO_POPCNT");
-    if (env && env[0] != '\0') {
-        const std::string_view v(env);
-        if (v == "off" || v == "0")
-            return nullptr;
-        using popkernels::Impl;
-        for (Impl impl : {Impl::Scalar, Impl::Avx2, Impl::Avx512})
-            if (v == popkernels::implName(impl) &&
-                popkernels::implAvailable(impl))
-                return &popkernels::implKernels(impl);
-    }
-    return &popkernels::kernels();
-}
-
 } // namespace
 
 StreamPipeline::StreamPipeline(const ApolloModel &model, uint32_t window_T)
@@ -95,10 +67,12 @@ StreamPipeline::StreamPipeline(const ApolloModel &model, uint32_t window_T)
     APOLLO_REQUIRE(!model.proxyIds.empty(), "empty model");
     APOLLO_REQUIRE(model.weights.size() == model.proxyIds.size(),
                    "model weight/proxy arity mismatch");
+    if (window_T > 0)
+        fold_.emplace(window_T, model.intercept);
 }
 
 StreamPipeline::StreamPipeline(const QuantizedModel &model, uint32_t T)
-    : qmodel_(&model), windowT_(T), popk_(selectPopcountKernels(T))
+    : qmodel_(&model), windowT_(T)
 {
     // The simulator runs the width/argument checks eagerly (invalid T
     // or an empty model is a configuration error) and carries the
@@ -119,22 +93,12 @@ StreamPipeline::computeSums(const BitColumnMatrix &bits, size_t rows,
     const size_t q = proxyCount();
     out.rows = rows;
     if (qmodel_) {
-        if (popk_) {
-            // Bit-parallel: one weighted popcount pass per column,
-            // 64 cycles per word, directly onto the stream's window
-            // grid (out.windowPhase0). Never materializes per-cycle
-            // rows or sums.
-            opmSegmentSums(*qmodel_, windowT_, out.windowPhase0, bits,
-                           rows, *popk_, out.segSums);
-            out.isums.clear();
-        } else {
-            out.isums.assign(rows, qmodel_->qintercept);
-            for (size_t c = 0; c < q; ++c)
-                if (qmodel_->qweights[c] != 0)
-                    bits.axpyColumnI64(c, qmodel_->qweights[c],
-                                       out.isums.data());
-            out.segSums.clear();
-        }
+        // Bit-parallel: one weighted popcount pass per column, 64
+        // cycles per word, directly onto the stream's window grid
+        // (out.windowPhase0). Never materializes per-cycle rows or
+        // sums.
+        opmSegmentSums(*qmodel_, windowT_, out.windowPhase0, bits, rows,
+                       popkernels::kernels(), out.segSums);
     } else if (windowT_ > 0) {
         // Weighted sums *without* intercept, like predictWindowsImpl's
         // per_cycle vector.
@@ -154,9 +118,9 @@ StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
 {
     Status sunk = Status::okStatus();
     cycles_ += sums.rows;
-    if (qmodel_) {
+    if (qmodel_ || fold_) {
         staging_.clear();
-        if (popk_) {
+        if (qmodel_) {
             // Replay the precomputed segment sums: the chunk's
             // leading segment continues the window the previous chunk
             // left open (the accumulator carried it), so the phases
@@ -165,40 +129,11 @@ StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
                               sim_->phase() == sums.windowPhase0,
                           "bit-parallel chunk emitted out of stream "
                           "order");
-            size_t a = 0;
-            size_t s = 0;
-            size_t b = std::min<size_t>(
-                sums.rows, windowT_ - sums.windowPhase0);
-            while (a < sums.rows) {
-                const OpmSimulator::Output out = sim_->stepSegment(
-                    sums.segSums[s++], static_cast<uint32_t>(b - a));
-                if (out.valid)
-                    staging_.push_back(static_cast<float>(out.power));
-                a = b;
-                b = std::min<size_t>(sums.rows, a + windowT_);
-            }
+            sim_->replaySegments(sums.segSums, sums.rows, staging_);
         } else {
-            for (size_t i = 0; i < sums.rows; ++i) {
-                const OpmSimulator::Output out =
-                    sim_->stepSum(sums.isums[i]);
-                if (out.valid)
-                    staging_.push_back(static_cast<float>(out.power));
-            }
-        }
-        if (!staging_.empty())
-            sunk = sink.consume(outputs_, staging_);
-        outputs_ += staging_.size();
-    } else if (windowT_ > 0) {
-        staging_.clear();
-        for (size_t i = 0; i < sums.rows; ++i) {
-            windowAcc_ += sums.fsums[i];
-            if (++windowPhase_ == windowT_) {
-                staging_.push_back(static_cast<float>(
-                    model_->intercept +
-                    windowAcc_ / static_cast<double>(windowT_)));
-                windowAcc_ = 0.0;
-                windowPhase_ = 0;
-            }
+            fold_->push(std::span<const float>(sums.fsums.data(),
+                                               sums.rows),
+                        staging_);
         }
         if (!staging_.empty())
             sunk = sink.consume(outputs_, staging_);
@@ -213,8 +148,8 @@ StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
         // A cancelled stream must leave no partial-window residue: a
         // session slot reusing this pipeline would otherwise fold the
         // dead stream's accumulator into its first window.
-        windowAcc_ = 0.0;
-        windowPhase_ = 0;
+        if (fold_)
+            fold_->reset();
         if (sim_)
             sim_->reset();
     }
@@ -224,12 +159,12 @@ StreamPipeline::emit(const ChunkSums &sums, PowerSink &sink)
 void
 StreamPipeline::reset()
 {
-    windowAcc_ = 0.0;
-    windowPhase_ = 0;
-    cycles_ = 0;
-    outputs_ = 0;
+    if (fold_)
+        fold_->reset();
     if (sim_)
         sim_->reset();
+    cycles_ = 0;
+    outputs_ = 0;
 }
 
 Status

@@ -17,12 +17,14 @@
  *    w_q per set bit in ascending q) do not depend on row chunking;
  *  - windowed float (Eq. 9): per-cycle sums accumulate like
  *    MultiCycleModel::predictWindowsProxies — float axpy per column,
- *    then a double window accumulator that carries across chunk
- *    boundaries, emitting float(intercept + acc/T) every T cycles;
- *  - quantized: per-cycle integer sums are exact in any evaluation
- *    order, so parallel column-wise accumulation
- *    (BitColumnMatrix::axpyColumnI64) followed by ordered
- *    OpmSimulator::stepSum replay equals OpmSimulator::simulate().
+ *    then the same WindowFold (core/multi_cycle.hh), carried across
+ *    chunk boundaries, emitting float(intercept + acc/T) every T
+ *    cycles;
+ *  - quantized: integer sums are exact in any evaluation order, so
+ *    the parallel stage computes one weighted-popcount sum per
+ *    T-cycle window segment (opmSegmentSums) and the ordered
+ *    OpmSimulator::stepSegment replay equals OpmSimulator::simulate(),
+ *    which runs the same kernel over the whole matrix.
  *
  * Peak memory is O(chunksInFlight * chunkCycles * Q / 8) regardless of
  * trace length (StreamStats::peakBufferBytes reports the engine's
@@ -42,10 +44,10 @@
 #include <vector>
 
 #include "core/apollo_model.hh"
+#include "core/multi_cycle.hh"
 #include "opm/opm_simulator.hh"
 #include "opm/quantize.hh"
 #include "trace/stream_reader.hh"
-#include "util/popcnt_kernels.hh"
 #include "util/status.hh"
 
 namespace apollo {
@@ -196,8 +198,7 @@ class CsvPowerSink : public PowerSink
  * fsums (weighted sums, no intercept in windowed mode; full
  * prediction in per-cycle mode). The quantized engine fills segSums
  * (one exact integer adder-tree sum per T-cycle window segment,
- * computed bit-parallel from the packed 64-cycle words) and falls
- * back to per-cycle isums for tiny windows or APOLLO_POPCNT=off.
+ * computed bit-parallel from the packed 64-cycle words).
  *
  * windowPhase0 is the stream's window phase at the chunk's first row
  * (firstCycle mod T for consecutive chunks from phase zero); callers
@@ -213,14 +214,12 @@ struct ChunkSums
     uint64_t firstCycle = 0;
     uint32_t windowPhase0 = 0;
     std::vector<float> fsums;
-    std::vector<int64_t> isums;
     std::vector<int64_t> segSums;
 
     uint64_t
     bufferBytes() const
     {
         return fsums.capacity() * sizeof(float) +
-               isums.capacity() * sizeof(int64_t) +
                segSums.capacity() * sizeof(int64_t);
     }
 };
@@ -259,26 +258,11 @@ class StreamPipeline
 
     /**
      * Quantized bit-true OPM pipeline (one sample per T-cycle
-     * window). For T >= kBitParallelMinT the compute stage runs
-     * bit-parallel: one weighted popcount pass per column per chunk
-     * (opm/opm_bitparallel.hh, runtime-dispatched kernels from
-     * util/popcnt_kernels.hh) instead of one integer add per set bit
-     * per cycle — bit-identical by integer exactness. APOLLO_POPCNT
-     * selects the kernel at construction: unset/empty = best
-     * available, "scalar"/"avx2"/"avx512" = that implementation,
-     * "off" = the legacy per-cycle isums path.
+     * window). The compute stage runs bit-parallel: one weighted
+     * popcount pass per column per chunk (opm/opm_bitparallel.hh,
+     * with the process-wide dispatch of util/popcnt_kernels.hh).
      */
     StreamPipeline(const QuantizedModel &model, uint32_t T);
-
-    /**
-     * Smallest window the bit-parallel path engages for: below this,
-     * one masked popcount per column per window costs more than the
-     * sparse per-set-bit adds of the legacy path.
-     */
-    static constexpr uint32_t kBitParallelMinT = 4;
-
-    /** True when this pipeline computes segSums instead of isums. */
-    bool bitParallel() const { return popk_ != nullptr; }
 
     bool quantized() const { return qmodel_ != nullptr; }
     size_t proxyCount() const;
@@ -291,8 +275,8 @@ class StreamPipeline
     /**
      * Stage 1 (pure): per-cycle sums of rows [0, rows) of @p bits into
      * @p out. Does not read or write pipeline state, so concurrent
-     * calls on one pipeline are safe. Bit-parallel quantized
-     * pipelines read out.windowPhase0 (set it to the stream's window
+     * calls on one pipeline are safe. Quantized pipelines read
+     * out.windowPhase0 (set it to the stream's window
      * phase at the chunk's first row before calling; a fresh
      * pipeline's first chunk is phase 0, the default).
      */
@@ -322,11 +306,8 @@ class StreamPipeline
     const ApolloModel *model_ = nullptr;
     const QuantizedModel *qmodel_ = nullptr;
     uint32_t windowT_ = 0;
-    /** Popcount kernel table; null = legacy per-cycle isums path. */
-    const popkernels::Kernels *popk_ = nullptr;
     std::optional<OpmSimulator> sim_;
-    double windowAcc_ = 0.0;
-    uint32_t windowPhase_ = 0;
+    std::optional<WindowFold> fold_;
     uint64_t cycles_ = 0;
     uint64_t outputs_ = 0;
     std::vector<float> staging_;

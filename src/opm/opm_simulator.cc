@@ -1,9 +1,11 @@
 #include "opm/opm_simulator.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
 #include "obs/metrics.hh"
+#include "opm/opm_bitparallel.hh"
 #include "util/logging.hh"
 
 namespace apollo {
@@ -85,35 +87,7 @@ OpmSimulator::cycleSum(const uint64_t *proxy_bits) const
 OpmSimulator::Output
 OpmSimulator::step(const uint64_t *proxy_bits)
 {
-    return stepSum(cycleSum(proxy_bits));
-}
-
-OpmSimulator::Output
-OpmSimulator::stepSum(int64_t cycle_sum)
-{
-    // The declared cycle-sum width must never overflow.
-    const int64_t cycle_limit = 1LL << cycleSumBits_;
-    APOLLO_ASSERT(cycle_sum > -cycle_limit && cycle_sum < cycle_limit,
-                  "cycle sum overflows declared width");
-
-    // "T-cycle average": accumulate, emit every T cycles with the
-    // divide realized by dropping the low log2(T) bits.
-    accumulator_ += cycle_sum;
-    const int64_t accum_limit = 1LL << accumBits_;
-    APOLLO_ASSERT(accumulator_ > -accum_limit &&
-                      accumulator_ < accum_limit,
-                  "accumulator overflows declared width");
-    phase_++;
-
-    Output out;
-    if (phase_ == T_) {
-        out.valid = true;
-        out.raw = accumulator_ >> shift_;
-        out.power = model_.dequantize(out.raw);
-        accumulator_ = 0;
-        phase_ = 0;
-    }
-    return out;
+    return stepSegment(cycleSum(proxy_bits), 1);
 }
 
 OpmSimulator::Output
@@ -122,10 +96,12 @@ OpmSimulator::stepSegment(int64_t segment_sum, uint32_t len)
     APOLLO_ASSERT(len >= 1 && phase_ + len <= T_,
                   "segment must stay within one window");
 
-    // One add for the whole segment: exact, so bit-identical to len
-    // stepSum() calls. The accumulator width still covers the partial
-    // window (|acc after k <= T cycles| <= T * max|cycle sum|, the
-    // bound the constructor sized accumBits_ with).
+    // "T-cycle average": accumulate, emit every T cycles with the
+    // divide realized by dropping the low log2(T) bits. One add for
+    // the whole segment is exact, so bit-identical to len per-cycle
+    // adds. The accumulator width covers the partial window (|acc
+    // after k <= T cycles| <= T * max|cycle sum|, the bound the
+    // constructor sized accumBits_ with).
     accumulator_ += segment_sum;
     const int64_t accum_limit = 1LL << accumBits_;
     APOLLO_ASSERT(accumulator_ > -accum_limit &&
@@ -144,6 +120,23 @@ OpmSimulator::stepSegment(int64_t segment_sum, uint32_t len)
     return out;
 }
 
+void
+OpmSimulator::replaySegments(std::span<const int64_t> seg_sums,
+                             size_t rows, std::vector<float> &out)
+{
+    size_t a = 0;
+    size_t s = 0;
+    size_t b = std::min<size_t>(rows, T_ - phase_);
+    while (a < rows) {
+        const Output sample =
+            stepSegment(seg_sums[s++], static_cast<uint32_t>(b - a));
+        if (sample.valid)
+            out.push_back(static_cast<float>(sample.power));
+        a = b;
+        b = std::min<size_t>(rows, a + T_);
+    }
+}
+
 std::vector<float>
 OpmSimulator::simulate(const BitColumnMatrix &Xq)
 {
@@ -151,28 +144,20 @@ OpmSimulator::simulate(const BitColumnMatrix &Xq)
                    "proxy matrix arity mismatch");
     reset();
     const size_t n = Xq.rows();
-    const size_t words = (Xq.cols() + 63) / 64;
-    std::vector<uint64_t> row_bits(words);
+    const popkernels::Kernels &kernels = popkernels::kernels();
+    std::vector<int64_t> seg_sums;
+    opmSegmentSums(model_, T_, 0, Xq, n, kernels, seg_sums);
 
     std::vector<float> out;
     out.reserve(n / T_);
-    for (size_t i = 0; i < n; ++i) {
-        // Gather this cycle's proxy bits from the column-major matrix.
-        std::fill(row_bits.begin(), row_bits.end(), 0);
-        for (size_t q = 0; q < Xq.cols(); ++q)
-            if (Xq.get(i, q))
-                row_bits[q >> 6] |= 1ULL << (q & 63);
-        const Output sample = step(row_bits.data());
-        if (sample.valid)
-            out.push_back(static_cast<float>(sample.power));
-    }
+    replaySegments(seg_sums, n, out);
     APOLLO_COUNT("apollo.opm.simulations", 1);
     APOLLO_COUNT("apollo.opm.cycles", n);
     APOLLO_COUNT("apollo.opm.windows", out.size());
     if (APOLLO_OBS_ON() && n > 0 && Xq.cols() > 0) {
         uint64_t ones = 0;
         for (size_t q = 0; q < Xq.cols(); ++q)
-            ones += Xq.colPopcount(q);
+            ones += kernels.countWords(Xq.colWords(q), Xq.wordsPerCol());
         APOLLO_OBSERVE("apollo.opm.toggle_density",
                        static_cast<double>(ones) /
                            (static_cast<double>(n) *

@@ -13,6 +13,7 @@
 #define APOLLO_OPM_OPM_SIMULATOR_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "opm/quantize.hh"
@@ -47,35 +48,31 @@ class OpmSimulator
     /**
      * The combinational "power computation" stage alone: the AND-gated
      * weighted sum of one cycle's proxy bits (plus the quantized
-     * intercept), without touching accumulator state. Pure function;
-     * the streaming engine evaluates it for whole chunks in parallel
-     * and feeds the sums through stepSum() in cycle order, which is
-     * bit-identical to calling step() cycle by cycle because integer
-     * accumulation is exact.
+     * intercept), without touching accumulator state. The constructor
+     * sizes cycleSumBits() for the worst case of this sum.
      */
     int64_t cycleSum(const uint64_t *proxy_bits) const;
 
     /**
-     * The sequential accumulate-then-shift stage: add one cycle's
-     * precomputed sum, enforce the declared widths, and emit the
-     * window average every T cycles. step() == stepSum(cycleSum()).
-     */
-    Output stepSum(int64_t cycle_sum);
-
-    /**
-     * Advance @p len cycles at once with their precomputed total
-     * @p segment_sum — the bit-parallel replay stage: integer addition
-     * is exact in any order, so one segment add equals len stepSum()
-     * calls bit for bit. The segment must not straddle a window
-     * boundary (phase() + len <= T); chunk code splits chunks at
-     * window boundaries, which is how windows straddling chunk edges
-     * carry across calls. The accumulator-width check (the PR 5
-     * overflow budget) still runs per segment; the per-cycle sums
-     * folded into @p segment_sum are bounded by the same worst-case
-     * analysis the constructor sized the widths with, so skipping the
-     * per-cycle asserts cannot hide an overflow.
+     * The sequential accumulate-then-shift stage: advance @p len
+     * cycles at once with their precomputed total @p segment_sum.
+     * Integer addition is exact in any order, so one segment add
+     * equals len per-cycle adds bit for bit; step() is the len = 1
+     * case. The segment must not straddle a window boundary
+     * (phase() + len <= T), which is how windows straddling chunk
+     * edges carry across calls. The accumulator-width check runs per
+     * segment.
      */
     Output stepSegment(int64_t segment_sum, uint32_t len);
+
+    /**
+     * Replay the segment sums of @p rows cycles, laid out from the
+     * current phase() the way opmSegmentSums() splits them (leading
+     * segment min(rows, T - phase()), then up to T each), appending
+     * every completed window's power to @p out.
+     */
+    void replaySegments(std::span<const int64_t> seg_sums, size_t rows,
+                        std::vector<float> &out);
 
     void reset();
 
@@ -93,7 +90,9 @@ class OpmSimulator
 
     /**
      * Run over a proxy-toggle matrix (columns ordered like the model's
-     * proxyIds); returns one power value per complete T-window.
+     * proxyIds); returns one power value per complete T-window. The
+     * whole matrix goes through the streaming engine's kernel:
+     * opmSegmentSums() at phase 0, then replaySegments().
      */
     std::vector<float> simulate(const BitColumnMatrix &Xq);
 

@@ -196,6 +196,20 @@ tryLoadDataset(std::istream &is)
             static_cast<std::streamsize>(rows * sizeof(float)));
     if (!is)
         return Status::ioError("truncated dataset stream");
+    // The packed zero-tail rule, enforced like the APTR and APSH
+    // readers: a forged tail word would inflate colPopcount (and the
+    // solver's column norms) and feed phantom toggles to the
+    // popcount kernels.
+    if (rows & 63) {
+        const uint64_t tail_mask = ~uint64_t{0} << (rows & 63);
+        const size_t last = ds.X.wordsPerCol() - 1;
+        for (size_t c = 0; c < cols; ++c)
+            if (ds.X.colWords(c)[last] & tail_mask)
+                return Status::parseError(
+                    "dataset declares ", rows,
+                    " rows but sets bits past the last row in column ",
+                    c);
+    }
 
     uint64_t n_segments = 0;
     if (!readPod(is, n_segments))

@@ -246,7 +246,7 @@ ProxyTraceReader::readBlock()
     // Enforce the packed zero-tail contract on untrusted input: the
     // whole-block fast path in next() hands this matrix to consumers
     // without re-slicing, and the word-at-a-time kernels (popcount
-    // windows, axpyColumnI64) trust that bits past `rows` in each
+    // windows, float axpy) trust that bits past `rows` in each
     // column's last word are zero — a forged tail word would count
     // phantom cycles or index past per-row accumulators.
     if (rows & 63) {

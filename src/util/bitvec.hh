@@ -279,28 +279,6 @@ class BitColumnMatrix
     }
 
     /**
-     * Integer axpy: acc[row] += delta for every set bit in column
-     * @p col. The quantized streaming engine evaluates the OPM adder
-     * tree column-wise with this — O(set bits) total instead of the
-     * O(rows x cols) row gather of OpmSimulator::simulate() — and
-     * integer addition is exact, so the per-cycle sums match
-     * OpmSimulator::cycleSum() bit for bit in any order.
-     */
-    void
-    axpyColumnI64(size_t col, int64_t delta, int64_t *acc) const
-    {
-        const uint64_t *w = colWords(col);
-        for (size_t k = 0; k < wordsPerCol_; ++k) {
-            uint64_t bits = w[k];
-            while (bits) {
-                const int b = std::countr_zero(bits);
-                acc[k * 64 + static_cast<size_t>(b)] += delta;
-                bits &= bits - 1;
-            }
-        }
-    }
-
-    /**
      * Build the sub-matrix containing only @p selected columns (in the
      * given order).
      */

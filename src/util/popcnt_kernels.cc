@@ -206,10 +206,10 @@ constexpr Kernels kAvx2Kernels = {countWordsAvx2, countRangeAvx2,
 
 // --- AVX-512 VPOPCNTDQ --------------------------------------------------
 
-#define APOLLO_POPCNT_AVX512_TARGET                                     \
+#define APOLLO_VPOPCNT_TARGET                                           \
     "avx512f,avx512bw,avx512dq,avx512vl,avx512vpopcntdq,popcnt"
 
-__attribute__((target(APOLLO_POPCNT_AVX512_TARGET))) uint64_t
+__attribute__((target(APOLLO_VPOPCNT_TARGET))) uint64_t
 countWordsAvx512(const uint64_t *words, size_t nwords)
 {
     __m512i acc = _mm512_setzero_si512();
@@ -227,7 +227,7 @@ countWordsAvx512(const uint64_t *words, size_t nwords)
     return static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
 }
 
-__attribute__((target(APOLLO_POPCNT_AVX512_TARGET))) uint64_t
+__attribute__((target(APOLLO_VPOPCNT_TARGET))) uint64_t
 countRangeAvx512(const uint64_t *words, size_t bit_begin, size_t bit_end)
 {
     if (bit_begin >= bit_end)
@@ -249,7 +249,7 @@ countRangeAvx512(const uint64_t *words, size_t bit_begin, size_t bit_end)
     return total;
 }
 
-__attribute__((target(APOLLO_POPCNT_AVX512_TARGET))) void
+__attribute__((target(APOLLO_VPOPCNT_TARGET))) void
 accumWindowSumsAvx512(const uint64_t *words, size_t nbits, uint32_t T,
                       uint32_t phase0, int64_t weight, int64_t *seg_sums)
 {

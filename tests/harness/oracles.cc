@@ -79,7 +79,7 @@ compareExact(std::span<const float> prod, std::span<const float> want,
 
 /**
  * Smallest width b with |v| < 2^b for every v in [min_sum, max_sum] —
- * the OPM's declared-width convention (stepSum asserts magnitude
+ * the OPM's declared-width convention (every cycle sum's magnitude
  * strictly below 2^cycleSumBits).
  */
 uint32_t
@@ -357,42 +357,12 @@ compareExactI64(std::span<const int64_t> prod,
 }
 
 /**
- * Scoped APOLLO_POPCNT override; restores the previous value (or
- * unsets) on destruction so an externally set selection survives the
- * oracle run.
- */
-class ScopedPopcntEnv
-{
-  public:
-    explicit ScopedPopcntEnv(const char *value)
-    {
-        const char *prev = std::getenv("APOLLO_POPCNT");
-        if (prev)
-            saved_ = prev;
-        if (value)
-            setenv("APOLLO_POPCNT", value, 1);
-        else if (prev)
-            unsetenv("APOLLO_POPCNT");
-    }
-    ~ScopedPopcntEnv()
-    {
-        if (saved_)
-            setenv("APOLLO_POPCNT", saved_->c_str(), 1);
-        else
-            unsetenv("APOLLO_POPCNT");
-    }
-
-  private:
-    std::optional<std::string> saved_;
-};
-
-/**
  * One bit-parallel case, checked at every layer: the raw segment-sum
  * kernels per available implementation and window phase against the
  * naive per-cycle src/ref transcription; the quantized streaming
- * engine (bit-parallel and forced-legacy) against ref::opmSimulate
- * across a varied chunk schedule (windows straddle chunk boundaries
- * whenever the chunk size is not a multiple of T); the float windowed
+ * engine against ref::opmSimulate across a varied chunk schedule
+ * (windows straddle chunk boundaries whenever the chunk size is not
+ * a multiple of T); the float windowed
  * stream against ref::predictWindowsProxies (the refactor must leave
  * the float path bit-identical too); and tau-invariance of Eq. (9)
  * inference for tau in {1, T, T+1}.
@@ -426,25 +396,23 @@ checkBitParallelCase(const BitParallelCase &c, uint64_t seed)
         }
     }
 
-    // Quantized streaming: bit-parallel (default dispatch) and the
-    // forced-legacy per-cycle path, both against the naive reference.
-    const std::vector<float> want_q = ref::opmSimulate(qm, c.Xq, c.T);
+    // Quantized streaming (default dispatch) against the naive
+    // reference.
     const size_t chunk = streamChunkCycles(seed);
-    for (const char *mode : {static_cast<const char *>(nullptr), "off"}) {
-        const ScopedPopcntEnv env(mode);
+    {
         MatrixChunkReader reader(c.Xq);
         VectorSink sink;
         const StreamingInference engine(qm, c.T);
-        const StreamConfig config =
-            StreamConfig().withChunkCycles(chunk);
-        auto stats = engine.run(reader, sink, config);
+        auto stats = engine.run(reader, sink,
+                                StreamConfig().withChunkCycles(chunk));
         const std::string shape =
-            c.shape + fmt("+stream[%s]+B=%u+T=%u+chunk=%zu",
-                          mode ? mode : "auto", c.bits, c.T, chunk);
+            c.shape +
+            fmt("+stream+B=%u+T=%u+chunk=%zu", c.bits, c.T, chunk);
         if (!stats.ok())
             return fmt("shape=%s: run failed: %s", shape.c_str(),
                        stats.status().message().c_str());
-        if (auto d = compareExact(sink.values(), want_q, shape))
+        if (auto d = compareExact(sink.values(),
+                                  ref::opmSimulate(qm, c.Xq, c.T), shape))
             return d;
     }
 

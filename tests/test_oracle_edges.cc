@@ -188,8 +188,8 @@ TEST(OracleEdges, ConstantLabelsLambdaPathIsRejected)
  * Found by the opm.simulate oracle ("big-intercept" shape): the §6
  * width formula B + ceil(log Q) + 1 ignores the quantized intercept,
  * so a model whose |intercept| dwarfs max|w| produced cycle sums
- * outside the declared width and stepSum panicked. The width now
- * covers the exact worst-case bounds including qintercept.
+ * outside the declared width and the per-cycle assert panicked. The
+ * width now covers the exact worst-case bounds including qintercept.
  */
 TEST(OracleRegression, OpmWidthCoversLargeIntercept)
 {

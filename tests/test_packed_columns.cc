@@ -17,6 +17,7 @@
 #include "apollo.hh"
 
 #include "activity/toggle_columns.hh"
+#include "ref/reference_kernels.hh"
 #include "util/popcnt_kernels.hh"
 
 namespace apollo {
@@ -174,13 +175,12 @@ TEST(StreamInferPackedColumns, CrossChunkCarryMatchesSingleChunk)
     // Chunk sizes that are not multiples of 64 force the stream engine
     // to carry partial packed words (and a mid-window phase) across
     // chunk boundaries; every schedule must equal the single-chunk run
-    // and the batch OPM simulator bit for bit.
+    // and the naive per-cycle reference bit for bit.
     const size_t n = 777, q = 33;
     const uint32_t T = 16;
     const BitColumnMatrix Xq = randomMatrix(n, q, 0xd1);
     const QuantizedModel qm = quantizeModel(randomModel(q, 0xd2), 10);
-    OpmSimulator sim(qm, T);
-    const std::vector<float> batch = sim.simulate(Xq);
+    const std::vector<float> batch = ref::opmSimulate(qm, Xq, T);
 
     const StreamingInference engine(qm, T);
     std::vector<float> single;

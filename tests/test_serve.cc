@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "apollo.hh"
+#include "ref/reference_kernels.hh"
 
 namespace apollo {
 namespace {
@@ -264,14 +265,13 @@ TEST(ServeDeterminism, ConcurrentSessionsMatchSequentialRuns)
 
 TEST(ServeDeterminism, BitParallelSessionsMatchScalarBaseline)
 {
-    // Quantized sessions pick up the bit-parallel 64-cycle kernel
-    // transparently (T >= StreamPipeline::kBitParallelMinT). Eight
+    // Quantized sessions run the bit-parallel 64-cycle kernel. Eight
     // concurrent sessions at every worker count must stay byte-
-    // identical to the per-cycle batch OpmSimulator — a baseline that
-    // shares no code with the popcount kernels. Proxy count (150) and
-    // chunk rows (193) are deliberately not multiples of 64, so every
-    // chunk boundary carries a partial packed word and a mid-window
-    // phase.
+    // identical to the naive per-cycle ref::opmSimulate — a baseline
+    // that shares no code with the popcount kernels. Proxy count
+    // (150) and chunk rows (193) are deliberately not multiples of 64,
+    // so every chunk boundary carries a partial packed word and a
+    // mid-window phase.
     const size_t q = 150;
     const ApolloModel fmodel = randomModel(q, 0x61);
     const QuantizedModel qmodel = quantizeModel(fmodel, 10);
@@ -287,8 +287,7 @@ TEST(ServeDeterminism, BitParallelSessionsMatchScalarBaseline)
         plan.trace = randomMatrix(rows, q, 0x2000 + i);
         const uint32_t T = i % 2 ? 32 : 16;
         plan.model = i % 2 ? "opm32" : "opm16";
-        OpmSimulator sim(qmodel, T);
-        plan.expected = sim.simulate(plan.trace);
+        plan.expected = ref::opmSimulate(qmodel, plan.trace, T);
         plans.push_back(std::move(plan));
     }
 

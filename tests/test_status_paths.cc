@@ -360,5 +360,21 @@ TEST(DatasetStatus, ForgedFieldsAreParseErrors)
     }
 }
 
+TEST(DatasetStatus, ForgedTailBitsAreParseErrors)
+{
+    // rows = 4: bits 4..63 of the column's only word must be zero, or
+    // colPopcount (and every popcount kernel) would count phantom
+    // toggles.
+    for (const int bit : {4, 63}) {
+        std::string bytes = validDatasetBytes();
+        patchU64(bytes, 24, 0b1010 | (uint64_t{1} << bit));
+        std::istringstream is(bytes);
+        StatusOr<Dataset> got = tryLoadDataset(is);
+        ASSERT_FALSE(got.ok()) << "tail bit " << bit;
+        EXPECT_EQ(got.status().code(), StatusCode::ParseError)
+            << got.status().toString();
+    }
+}
+
 } // namespace
 } // namespace apollo

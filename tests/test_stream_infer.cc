@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "apollo.hh"
+#include "ref/reference_kernels.hh"
 
 namespace apollo {
 namespace {
@@ -130,8 +131,10 @@ TEST(StreamInfer, QuantizedBitIdenticalToOpmSimulator)
     const QuantizedModel qm = quantizeModel(randomModel(q, 0xF6), 10);
 
     for (const uint32_t T : {1u, 4u, 32u}) {
-        OpmSimulator sim(qm, T);
-        const std::vector<float> batch = sim.simulate(Xq);
+        // The naive per-cycle reference shares no code with the
+        // popcount kernels behind both the stream and simulate().
+        const std::vector<float> batch = ref::opmSimulate(qm, Xq, T);
+        ASSERT_EQ(OpmSimulator(qm, T).simulate(Xq), batch) << "T=" << T;
         const StreamingInference engine(qm, T);
         for (const size_t chunk : {size_t{1}, size_t{77}, size_t{1000}}) {
             const std::vector<float> streamed = streamToVector(
@@ -481,8 +484,7 @@ TEST(PublicApi, InferenceFacadeMatchesSubstrate)
     const QuantizedModel qm = quantizeModel(model, 10);
     const Inference opm(qm, 4);
     EXPECT_TRUE(opm.quantized());
-    OpmSimulator sim(qm, 4);
-    EXPECT_EQ(opm.predict(Xq), sim.simulate(Xq));
+    EXPECT_EQ(opm.predict(Xq), ref::opmSimulate(qm, Xq, 4));
 }
 
 TEST(PublicApi, TrainOptionsValidateEagerly)

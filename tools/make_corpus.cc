@@ -160,6 +160,10 @@ makeDatasetCorpus(const fs::path &dir)
     const uint64_t huge = ~uint64_t{0} / 2;
     writeFile(dir / "huge_rows.apds", patch(valid, 8, &huge, 8));
     writeFile(dir / "huge_cols.apds", patch(valid, 16, &huge, 8));
+    // rows = 24: an all-ones column 0 word (at byte 24) sets bits
+    // 24..63 past the last row, which the zero-tail rule forbids.
+    const uint64_t forged_word = ~uint64_t{0};
+    writeFile(dir / "forged_tail.apds", patch(valid, 24, &forged_word, 8));
 }
 
 } // namespace

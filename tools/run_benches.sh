@@ -69,7 +69,7 @@ echo "perf.droop_lab guard passed"
 
 # Bit-parallel kernel ablation guard: re-run through ctest so the perf
 # label stays green on the same tree the benches used (scalar / AVX2 /
-# VPOPCNTQ / legacy all bit-identical to the batch simulator).
+# VPOPCNTQ all bit-identical to the default dispatch).
 (cd "$BUILD_DIR" && ctest -R 'perf\.stream_bitparallel' --output-on-failure)
 echo "perf.stream_bitparallel guard passed"
 
