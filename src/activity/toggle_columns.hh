@@ -1,8 +1,8 @@
 /**
  * @file
- * ToggleColumnGenerator: batched column-major toggle-bit generation
- * over one frame segment — the production fast path of the GA fitness
- * pipeline (bit-identical to per-cycle ActivityEngine::toggles calls).
+ * ToggleColumnGenerator: batched column-major toggle-bit generation,
+ * the one production multi-cycle toggle path (bit-identical to
+ * per-cycle ActivityEngine::toggles calls, which stay the definition).
  *
  * Per-cycle toggle evaluation reloads every signal's static fields,
  * re-derives its draw seed, and re-branches on its kind for every
@@ -10,15 +10,12 @@
  * of that out of the cycle loop and leaves only the per-cycle hash
  * draw — which the util/hash_kernels batch kernel evaluates eight
  * lanes at a time. Additional batched structure:
- *  - per-unit clock-enable bitmasks are built once per bind() and
- *    AND-ed onto every column of that unit;
- *  - ClockEnable columns are pure word arithmetic (an XOR with the
- *    1-shifted enable mask) with no hashing at all;
- *  - per-bus event-pass masks are computed once per (bus, latency)
- *    and shared by all bits of the bus.
- *
- * The generator binds to a single segment (segment_begin = index 0 of
- * the bound span), matching how fitness simulation produces frames.
+ *  - segment starts and pre-window history are resolved once per
+ *    bind(): per-latency lookback row tables, and per-unit masks of
+ *    the clock enable and of its predecessor state;
+ *  - ClockEnable columns are pure word arithmetic with no hashing;
+ *  - per-bus event-pass masks are computed once per (bus, unit,
+ *    latency) and shared by all bits of the bus.
  */
 
 #ifndef APOLLO_ACTIVITY_TOGGLE_COLUMNS_HH
@@ -34,71 +31,84 @@
 
 namespace apollo {
 
-/** Column-at-a-time toggle-bit generation over one frame segment. */
+/**
+ * FatalError unless rows [first, first+count) lie within @p frame_count
+ * frames and, over them, @p segment_begin_of is empty (one segment) or
+ * has frame_count entries with begin_of[r] == r (a segment starts) or
+ * begin_of[r] == begin_of[r-1] < r.
+ */
+void requireSegmentTable(std::span<const uint32_t> segment_begin_of,
+                         size_t frame_count, size_t first, size_t count);
+
+/** Column-at-a-time toggle-bit generation over a window of frames. */
 class ToggleColumnGenerator
 {
   public:
     explicit ToggleColumnGenerator(const ActivityEngine &engine);
 
     /**
-     * Bind to @p frames (one segment; lookbacks clamp at index 0).
-     * Precomputes the per-unit enable masks; invalidates bus caches.
-     * The span must stay valid until the next bind().
+     * Bind rows [first, first+count) of @p frames, segmented by
+     * @p segment_begin_of (checked by requireSegmentTable). Invalidates
+     * bus caches; @p frames must stay valid until the next bind().
      */
-    void bind(std::span<const ActivityFrame> frames);
+    void bind(std::span<const ActivityFrame> frames,
+              std::span<const uint32_t> segment_begin_of, size_t first,
+              size_t count);
 
-    /** Words per column for the bound frame count (tail bits zero). */
+    /** Words per column for the bound row count (tail bits zero). */
     size_t wordCount() const { return words_; }
 
     /**
      * Fill the packed toggle column of @p sig_id: bit i of @p out is
-     * toggles(sig_id, frames, i, 0). @p out must hold wordCount()
-     * words. Bit-identical to the per-cycle path by construction.
-     * Honors the packed zero-tail rule: bits at positions >= the
-     * bound frame count in the last word are zero (apollo::
-     * maskTailWords in util/bitvec.hh states the rule; the streaming
-     * popcount kernels rely on it).
+     * toggles(sig_id, frames, first+i, begin_of[first+i]). @p out must
+     * hold wordCount() words. Honors the packed zero-tail rule: bits at
+     * positions >= the bound row count in the last word are zero
+     * (apollo::maskTailWords in util/bitvec.hh states the rule; the
+     * streaming popcount kernels rely on it).
      */
     void fillColumn(uint32_t sig_id, uint64_t *out);
 
-    /**
-     * Fill a whole packed proxy matrix: column k of @p out is the
-     * toggle column of sig_ids[k] over the bound segment. Resets
-     * @p out to (frames, sig_ids.size()); the column-major 64-cycle
-     * word layout is exactly what the bit-parallel streaming
-     * inference kernels consume.
-     */
-    void fillMatrix(std::span<const uint32_t> sig_ids,
-                    BitColumnMatrix &out);
-
-    /**
-     * Reference mode for the differential harness and the seed-cost
-     * baseline: per-cycle ActivityEngine::toggles calls, no batching.
-     */
-    bool naive = false;
-
   private:
-    void fillNaive(uint32_t sig_id, uint64_t *out) const;
     void drawColumn(uint64_t seed);
     const uint64_t *busEventMask(const Signal &sig);
 
     const ActivityEngine &engine_;
-    std::span<const ActivityFrame> frames_;
+    size_t maxLatency_ = 0;
     size_t n_ = 0;
     size_t words_ = 0;
+    /** Per-unit stride of actU_/dataU_: lookback history + n_ rows. */
+    size_t unitRows_ = 0;
     uint64_t cycle0_ = 0;
     bool contiguousCycles_ = false;
     /** Per-unit clock-enable masks, numUnits x wordCount(). */
     std::vector<uint64_t> enabledMask_;
-    /** Column-major copies of the per-unit activity/data factors. */
+    /** Same for each row's predecessor (enabled at segment starts). */
+    std::vector<uint64_t> prevEnabledMask_;
+    /** Column-major per-unit activity/data factors. */
     std::vector<float> actU_;
     std::vector<float> dataU_;
+    /** Per latency, each bound row's unit-array source row. */
+    std::vector<uint32_t> lookback_;
     /** Batch draw scratch. */
     std::vector<float> draws_;
     std::vector<uint64_t> cycles_;
-    /** (busId << 8 | latency) -> event-pass mask. */
+    /** (busId << 16 | unit << 8 | latency) -> event-pass mask. */
     std::unordered_map<uint64_t, std::vector<uint64_t>> busMasks_;
 };
+
+/**
+ * Reset @p out to count x sig_ids.size() and fill column k with
+ * sig_ids[k]'s toggle bits over rows [first, first+count). Workers of
+ * the shared pool each bind a generator to 64-aligned row blocks
+ * (sized from the row count and pool size, capped) and write whole
+ * words; the bits do not depend on the block size or worker count.
+ */
+void fillToggleColumns(const ActivityEngine &engine,
+                       std::span<const ActivityFrame> frames,
+                       std::span<const uint32_t> segment_begin_of,
+                       size_t first, size_t count,
+                       std::span<const uint32_t> sig_ids,
+                       BitColumnMatrix &out);
 
 } // namespace apollo
 

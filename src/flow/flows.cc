@@ -48,9 +48,9 @@ DesignTimeFlows::runCommercialFlow(const Program &prog,
     APOLLO_OBSERVE("apollo.flow.simulate_seconds", rep.simSeconds,
                    ::apollo::obs::latencyBounds());
 
-    // Full-signal toggle extraction + per-toggle power accounting are
-    // fused in build(); we attribute the whole stage to power since the
-    // oracle dominates (it touches every toggling net's capacitance).
+    // build() generates every signal's toggle columns and then runs the
+    // oracle's per-cycle label pass over them; sign-off power needs
+    // the full trace, so the whole call is timed as the power stage.
     auto t1 = Clock::now();
     Dataset ds = [&] {
         APOLLO_TRACE_SPAN("flow.power");

@@ -29,7 +29,7 @@ FitnessEvaluator::cyclePowers(std::span<const ActivityFrame> frames,
 
     const size_t m = netlist_.signalCount();
     const uint32_t stride = options_.signalStride;
-    gen_.bind(frames);
+    gen_.bind(frames, {}, 0, frames.size());
     colWords_.resize(gen_.wordCount());
     acc_.begin(frames.size());
     for (size_t c = 0; c < m; c += stride) {

@@ -80,8 +80,8 @@ class PowerOracle
         std::span<const uint64_t> row_bits) const;
 
     /**
-     * Per-signal contribution pieces, used by the column-parallel
-     * dataset builder: the linear cap term and the activity-scaled
+     * Per-signal contribution pieces, used by the dataset builder's
+     * per-cycle label pass: the linear cap term and the activity-scaled
      * glitch term for signal @p sig_id toggling under @p frame.
      */
     double signalContribution(uint32_t sig_id,

@@ -1,8 +1,9 @@
 /**
  * @file
  * Naive references for the GA training-data generation pipeline
- * (docs/INTERNALS.md §8, §9): per-cycle toggle columns and the fitness
- * power estimate, written as literal transcriptions of the defined
+ * (docs/INTERNALS.md §8, §9): per-cycle toggle columns, the fitness
+ * power estimate and the dataset export, written as literal
+ * transcriptions of the defined
  * per-cycle semantics — no batching, no bit kernels, no caching, no
  * shared code with activity/toggle_columns or power/oracle_accumulator
  * beyond the data containers.
@@ -23,17 +24,33 @@
 
 #include "activity/activity_engine.hh"
 #include "power/power_oracle.hh"
+#include "trace/dataset.hh"
 
 namespace apollo::ref {
 
 /**
- * Literal single-segment toggle column: out[i] = 1 iff
- * engine.toggles(sig_id, frames, i, 0). Oracle for
- * ToggleColumnGenerator::fillColumn (bit i of the packed words).
+ * Literal toggle column: out[i] = 1 iff engine.toggles(sig_id, frames,
+ * i, begin_of[i]), with begin_of[i] = 0 when @p segment_begin_of is
+ * empty (one segment). Oracle for ToggleColumnGenerator::fillColumn
+ * (bit i of a window bound at row first is out[first + i]) and for
+ * every trace that fillToggleColumns fills.
  */
-std::vector<uint8_t> toggleColumn(const ActivityEngine &engine,
-                                  std::span<const ActivityFrame> frames,
-                                  uint32_t sig_id);
+std::vector<uint8_t> toggleColumn(
+    const ActivityEngine &engine, std::span<const ActivityFrame> frames,
+    uint32_t sig_id, std::span<const uint32_t> segment_begin_of = {});
+
+/**
+ * Literal full-signal dataset export: per cycle i, over ascending
+ * signal ids j, X(i, j) = engine.toggles(j, frames, i, begin_of[i])
+ * and every toggling j adds oracle.signalContribution(j, frames[i])
+ * into one double; y[i] = float(oracle.finalize(sum, i)). Bit-exact
+ * oracle for DatasetBuilder::build (X words and y floats; the segment
+ * list is left empty).
+ */
+Dataset datasetBuild(const Netlist &netlist, const ActivityEngine &engine,
+                     const PowerOracle &oracle,
+                     std::span<const ActivityFrame> frames,
+                     std::span<const uint32_t> segment_begin_of);
 
 /**
  * Literal §4.1 fitness power transcription over one frame segment:

@@ -5,8 +5,8 @@
 #include <istream>
 #include <ostream>
 
+#include "activity/toggle_columns.hh"
 #include "trace/vcd.hh"
-#include "util/thread_pool.hh"
 
 namespace apollo {
 
@@ -55,7 +55,10 @@ FrameProxyChunkReader::FrameProxyChunkReader(
     std::vector<uint32_t> segment_begin_of)
     : engine_(engine), frames_(frames), proxyIds_(std::move(proxy_ids)),
       segmentBeginOf_(std::move(segment_begin_of))
-{}
+{
+    requireSegmentTable(segmentBeginOf_, frames_.size(), 0,
+                        frames_.size());
+}
 
 StatusOr<size_t>
 FrameProxyChunkReader::next(size_t max_rows, ProxyChunk &chunk)
@@ -64,25 +67,8 @@ FrameProxyChunkReader::next(size_t max_rows, ProxyChunk &chunk)
         return Status::invalidArgument("chunk size must be positive");
     const size_t n = std::min(max_rows, frames_.size() - pos_);
     chunk.firstCycle = pos_;
-    chunk.bits.reset(n, proxyIds_.size());
-    if (n == 0)
-        return n;
-    const size_t first = pos_;
-    // Column-parallel like DatasetBuilder::traceProxies; the engine is
-    // a pure function of (signal, cycle), so any split is exact.
-    parallelFor(proxyIds_.size(), [&](size_t q0, size_t q1) {
-        for (size_t q = q0; q < q1; ++q) {
-            const uint32_t sig_id = proxyIds_[q];
-            for (size_t i = 0; i < n; ++i) {
-                const size_t global = first + i;
-                const uint32_t seg = segmentBeginOf_.empty()
-                                         ? 0
-                                         : segmentBeginOf_[global];
-                if (engine_.toggles(sig_id, frames_, global, seg))
-                    chunk.bits.setBit(i, q);
-            }
-        }
-    });
+    fillToggleColumns(engine_, frames_, segmentBeginOf_, pos_, n,
+                      proxyIds_, chunk.bits);
     pos_ += n;
     return n;
 }

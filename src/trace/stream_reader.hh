@@ -103,13 +103,16 @@ class MatrixChunkReader : public ProxyChunkReader
 /**
  * Generates proxy toggle bits chunk by chunk from simulated frames —
  * the streaming backbone of the emulator-assisted flow. Produces bits
- * identical to DatasetBuilder::traceProxies over the same frames
- * (the ActivityEngine is stateless per (signal, cycle)).
+ * identical to DatasetBuilder::traceProxies over the same frames at
+ * any chunk size (the ActivityEngine is stateless per (signal, cycle)).
  */
 class FrameProxyChunkReader : public ProxyChunkReader
 {
   public:
-    /** @p engine and @p frames must outlive the reader. */
+    /**
+     * @p engine and @p frames must outlive the reader; a malformed
+     * @p segment_begin_of is a FatalError.
+     */
     FrameProxyChunkReader(const ActivityEngine &engine,
                           std::span<const ActivityFrame> frames,
                           std::vector<uint32_t> proxy_ids,

@@ -1,7 +1,7 @@
 #include "trace/toggle_trace.hh"
 
-#include <map>
-#include <mutex>
+#include <algorithm>
+#include <bit>
 
 #include "activity/toggle_columns.hh"
 #include "gen/fitness_eval.hh"
@@ -78,45 +78,32 @@ DatasetBuilder::build() const
     APOLLO_REQUIRE(n > 0, "no programs added");
 
     Dataset ds;
-    ds.X.reset(n, m);
     ds.segments = segments_;
+    std::vector<uint32_t> all_ids(m);
+    for (size_t c = 0; c < m; ++c)
+        all_ids[c] = static_cast<uint32_t>(c);
+    fillToggleColumns(engine_, frames_, segmentBeginTable(), 0, n, all_ids,
+                      ds.X);
 
-    const std::vector<uint32_t> begin_of = segmentBeginTable();
-    std::span<const ActivityFrame> frames(frames_);
-
-    // Column-parallel fill. Per-chunk partial label sums are collected
-    // keyed by their first column and reduced in column order, so the
-    // floating-point summation order is independent of thread
-    // scheduling (bit-reproducible labels).
-    std::map<size_t, std::vector<double>> partials;
-    std::mutex reduce_mutex;
-
-    parallelFor(m, [&](size_t c0, size_t c1) {
-        std::vector<double> local_y(n, 0.0);
-        for (size_t c = c0; c < c1; ++c) {
-            const auto sig_id = static_cast<uint32_t>(c);
-            for (size_t i = 0; i < n; ++i) {
-                if (engine_.toggles(sig_id, frames, i, begin_of[i])) {
-                    ds.X.setBit(i, c);
-                    local_y[i] +=
-                        oracle_.signalContribution(sig_id, frames[i]);
-                }
-            }
-        }
-        std::lock_guard<std::mutex> lock(reduce_mutex);
-        partials.emplace(c0, std::move(local_y));
-    });
-
-    std::vector<double> raw_y(n, 0.0);
-    for (const auto &[first_col, local_y] : partials) {
-        (void)first_col;
-        for (size_t i = 0; i < n; ++i)
-            raw_y[i] += local_y[i];
-    }
-
+    // Row-parallel labels: each cycle sums its toggling signals'
+    // contributions into one double over ascending signal ids, then
+    // finalizes, so the order does not depend on the pool size.
     ds.y.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        ds.y[i] = static_cast<float>(oracle_.finalize(raw_y[i], i));
+    parallelFor(ds.X.wordsPerCol(), [&](size_t w0, size_t w1) {
+        for (size_t w = w0; w < w1; ++w) {
+            double acc[64] = {};
+            for (size_t c = 0; c < m; ++c)
+                for (uint64_t bits = ds.X.colWords(c)[w]; bits;
+                     bits &= bits - 1) {
+                    const int b = std::countr_zero(bits);
+                    acc[b] += oracle_.signalContribution(
+                        static_cast<uint32_t>(c), frames_[w * 64 + b]);
+                }
+            for (size_t i = w * 64; i < std::min(n, w * 64 + 64); ++i)
+                ds.y[i] = static_cast<float>(
+                    oracle_.finalize(acc[i - w * 64], i));
+        }
+    });
     APOLLO_COUNT("apollo.activity.datasets_built", 1);
     if (APOLLO_OBS_ON() && m > 0) {
         uint64_t ones = 0;
@@ -154,36 +141,9 @@ DatasetBuilder::traceProxies(const ActivityEngine &engine,
                              std::span<const uint32_t> proxy_ids,
                              std::span<const uint32_t> segment_begin_of)
 {
-    const size_t n = frames.size();
-    BitColumnMatrix bits(n, proxy_ids.size());
-    if (n == 0 || proxy_ids.empty())
-        return bits;
-    if (segment_begin_of.empty()) {
-        // Single-segment traces take the batched column generator —
-        // bit-identical to the per-cycle path by construction (pinned
-        // by the activity toggle-column oracle) and it packs each
-        // column's 64-cycle words directly, which is the layout the
-        // bit-parallel streaming kernels consume. One worker-local
-        // generator per column chunk: fillColumn shares draw scratch,
-        // so a generator must not be called concurrently.
-        parallelFor(proxy_ids.size(), [&](size_t q0, size_t q1) {
-            ToggleColumnGenerator gen(engine);
-            gen.bind(frames);
-            for (size_t q = q0; q < q1; ++q)
-                gen.fillColumn(proxy_ids[q], bits.colWordsMutable(q));
-        });
-        return bits;
-    }
-    parallelFor(proxy_ids.size(), [&](size_t q0, size_t q1) {
-        for (size_t q = q0; q < q1; ++q) {
-            const uint32_t sig_id = proxy_ids[q];
-            for (size_t i = 0; i < n; ++i) {
-                const uint32_t seg = segment_begin_of[i];
-                if (engine.toggles(sig_id, frames, i, seg))
-                    bits.setBit(i, q);
-            }
-        }
-    });
+    BitColumnMatrix bits;
+    fillToggleColumns(engine, frames, segment_begin_of, 0, frames.size(),
+                      proxy_ids, bits);
     return bits;
 }
 

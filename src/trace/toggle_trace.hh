@@ -54,9 +54,9 @@ class DatasetBuilder
     const std::vector<SegmentInfo> &segments() const { return segments_; }
 
     /**
-     * Materialize features for all M signals plus power labels.
-     * Column-parallel; the builder can keep accepting programs and
-     * build() can be called repeatedly.
+     * Materialize features for all M signals plus power labels whose
+     * summation order does not depend on the pool size. The builder
+     * can keep accepting programs and build() can be called repeatedly.
      */
     Dataset build() const;
 
@@ -79,7 +79,8 @@ class DatasetBuilder
     /**
      * Emulator-assisted proxy-only trace: toggle bits of just
      * @p proxy_ids over @p frames (cost O(cycles * Q)).
-     * @p segment_begin_of maps cycle -> its segment's first cycle.
+     * @p segment_begin_of maps cycle -> its segment's first cycle
+     * (empty: one segment; FatalError if malformed).
      */
     static BitColumnMatrix traceProxies(
         const ActivityEngine &engine,

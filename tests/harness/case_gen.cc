@@ -515,6 +515,153 @@ makeGaCase(uint64_t seed)
     return c;
 }
 
+namespace {
+
+/**
+ * Per-cycle segment-begin table over @p n rows: segment lengths drawn
+ * from the word edges, plus random lengths when @p random_lengths.
+ */
+std::vector<uint32_t>
+randomSegmentTable(Xoshiro256StarStar &rng, size_t n, bool random_lengths)
+{
+    static constexpr size_t kEdges[] = {1, 2, 63, 64, 65};
+    const size_t choices = std::size(kEdges) + (random_lengths ? 2 : 0);
+    std::vector<uint32_t> begin_of;
+    begin_of.reserve(n);
+    while (begin_of.size() < n) {
+        const size_t pick = rng.nextBounded(choices);
+        const size_t len = pick < std::size(kEdges)
+                               ? kEdges[pick]
+                               : 1 + rng.nextBounded(150);
+        const auto start = static_cast<uint32_t>(begin_of.size());
+        for (size_t k = 0; k < len && begin_of.size() < n; ++k)
+            begin_of.push_back(start);
+    }
+    return begin_of;
+}
+
+} // namespace
+
+ToggleCase
+makeToggleCase(uint64_t seed)
+{
+    GaCase ga = makeGaCase(seed);
+    Xoshiro256StarStar rng(hashMix(seed ^ 0x70c));
+    ToggleCase c;
+    c.netlist = std::move(ga.netlist);
+    c.frames = std::move(ga.frames);
+    const size_t n = c.frames.size();
+
+    const uint64_t seg_shape = hashMix(seed ^ 0x70d) % 4;
+    switch (seg_shape) {
+      case 0: c.shape = ga.shape + "+one-segment"; break;
+      case 1:
+        c.shape = ga.shape + "+edge-segments";
+        c.segmentBeginOf = randomSegmentTable(rng, n, false);
+        break;
+      case 2:
+        c.shape = ga.shape + "+random-segments";
+        c.segmentBeginOf = randomSegmentTable(rng, n, true);
+        break;
+      default: {
+        c.shape = ga.shape + "+restart-cycles";
+        c.segmentBeginOf = randomSegmentTable(rng, n, true);
+        // Each segment restarts its cycle stamps, as separately
+        // simulated programs do.
+        uint64_t cycle = 0;
+        for (size_t i = 0; i < n; ++i) {
+            if (c.segmentBeginOf[i] == i)
+                cycle = rng.nextBounded(1u << 20);
+            c.frames[i].cycle = cycle++;
+        }
+      }
+    }
+
+    std::vector<size_t> starts = {0};
+    for (size_t i = 1; i < c.segmentBeginOf.size(); ++i)
+        if (c.segmentBeginOf[i] == i)
+            starts.push_back(i);
+    c.windows.emplace_back(0, n);
+    for (int k = 0; k < 5; ++k) {
+        const size_t s = starts[rng.nextBounded(starts.size())];
+        size_t first = s;
+        size_t min_count = 1;
+        switch (rng.nextBounded(3)) {
+          case 0: break; // on a segment start
+          case 1: first = std::min(s + 1, n - 1); break;
+          default: { // straddle a boundary
+            const size_t b = starts.size() > 1
+                ? starts[1 + rng.nextBounded(starts.size() - 1)]
+                : n - 1;
+            first = b - std::min<size_t>(b, 1 + rng.nextBounded(70));
+            min_count = std::min(n - first, b - first + 1);
+          }
+        }
+        const size_t count =
+            min_count + rng.nextBounded(n - first - min_count + 1);
+        c.windows.emplace_back(first, count);
+    }
+    return c;
+}
+
+DatasetBuildCase
+makeDatasetBuildCase(uint64_t seed)
+{
+    Xoshiro256StarStar rng(hashMix(seed ^ 0xd5b));
+    DatasetBuildCase c;
+    const uint64_t shape = hashMix(seed ^ 0xd5c) % 7;
+
+    size_t n = 20 + rng.nextBounded(400);
+    double enable_p = 0.85;
+    bool extreme_act = false;
+    switch (shape) {
+      case 0: c.shape = "nominal"; break;
+      case 1: c.shape = "one-cycle-segment"; break;
+      case 2: {
+        c.shape = "word-boundary-total";
+        static constexpr size_t kEdges[] = {63, 64, 65, 127, 128,
+                                            129, 511, 512, 513};
+        n = kEdges[rng.nextBounded(std::size(kEdges))];
+        break;
+      }
+      case 3: c.shape = "one-segment"; break;
+      case 4: c.shape = "many-short"; break;
+      case 5:
+        c.shape = "sparse-enable";
+        enable_p = 0.15;
+        break;
+      default:
+        c.shape = "act-extremes";
+        extreme_act = true;
+    }
+
+    c.netlist = miniDesign(rng);
+    uint64_t cycle = rng.nextBounded(1u << 20);
+    for (size_t i = 0; i < n; ++i)
+        c.frames.push_back(
+            randomFrame(rng, cycle++, enable_p, extreme_act));
+
+    size_t left = n;
+    if (shape == 1) { // a one-cycle segment somewhere inside
+        const size_t before = rng.nextBounded(n);
+        if (before)
+            c.segmentLengths.push_back(before);
+        c.segmentLengths.push_back(1);
+        left -= before + 1;
+    }
+    while (left > 0) {
+        size_t len = left;
+        if (shape == 4)
+            len = 1 + rng.nextBounded(3);
+        else if (shape != 3)
+            len = 1 + rng.nextBounded(150);
+        len = std::min(len, left);
+        c.segmentLengths.push_back(len);
+        left -= len;
+    }
+    return c;
+}
+
 GaRunCase
 makeGaRunCase(uint64_t seed)
 {

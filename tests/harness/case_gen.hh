@@ -134,6 +134,44 @@ struct GaCase
 GaCase makeGaCase(uint64_t seed);
 
 /**
+ * A generated multi-segment toggle case: a GaCase's design and frames
+ * plus a per-cycle segment-begin table and bind windows. Segment
+ * lengths come from the 1/2/63/64/65-row edges, optionally mixed with
+ * random lengths; some cases restart the cycle stamps at every
+ * segment, and a quarter keep one segment (empty table). Windows start
+ * on a segment start, one row after one, or straddle a boundary; the
+ * whole trace is always the first window.
+ */
+struct ToggleCase
+{
+    Netlist netlist;
+    std::vector<ActivityFrame> frames;
+    std::vector<uint32_t> segmentBeginOf;
+    /** (first row, row count) bind windows. */
+    std::vector<std::pair<size_t, size_t>> windows;
+    std::string shape;
+};
+
+ToggleCase makeToggleCase(uint64_t seed);
+
+/**
+ * A generated dataset-export case: a miniature design and synthetic
+ * frames split into segments (added to a DatasetBuilder one segment at
+ * a time). Shapes include a one-cycle segment, totals at word
+ * boundaries, one segment, many short segments, sparse enables and
+ * gate-threshold activities.
+ */
+struct DatasetBuildCase
+{
+    Netlist netlist;
+    std::vector<ActivityFrame> frames;
+    std::vector<size_t> segmentLengths;
+    std::string shape;
+};
+
+DatasetBuildCase makeDatasetBuildCase(uint64_t seed);
+
+/**
  * A generated GA-run case: a miniature design plus a full GaConfig
  * (small budgets) and core parameters with a short warm-up. Shape
  * classes cover duplicate-heavy populations (zero mutation/crossover,

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -972,35 +973,110 @@ compareExactD(std::span<const double> prod, std::span<const double> want,
     return std::nullopt;
 }
 
+/** Bits [0, count) of @p col against want[first + i], plus the zero tail. */
+std::optional<std::string>
+compareColumn(const uint64_t *col, const std::vector<uint8_t> &want,
+              size_t first, size_t count, const std::string &shape,
+              uint32_t sig, int kind)
+{
+    for (size_t i = 0; i < count; ++i) {
+        const bool prod = (col[i >> 6] >> (i & 63)) & 1;
+        if (prod != static_cast<bool>(want[first + i]))
+            return fmt("shape=%s: sig=%u kind=%d window=[%zu,+%zu) "
+                       "row=%zu prod=%d ref=%d",
+                       shape.c_str(), sig, kind, first, count,
+                       first + i, prod, static_cast<int>(want[first + i]));
+    }
+    if ((count & 63) && (col[count >> 6] >> (count & 63)) != 0)
+        return fmt("shape=%s: sig=%u window=[%zu,+%zu) tail bits set",
+                   shape.c_str(), sig, first, count);
+    return std::nullopt;
+}
+
 std::optional<std::string>
 runToggleColumns(uint64_t seed)
 {
-    const GaCase c = makeGaCase(seed);
+    const ToggleCase c = makeToggleCase(seed);
     const ActivityEngine engine(c.netlist);
+    const size_t m = c.netlist.signalCount();
+    std::vector<std::vector<uint8_t>> want(m);
+    std::vector<uint32_t> ids(m);
+    for (uint32_t sig = 0; sig < m; ++sig) {
+        want[sig] =
+            ref::toggleColumn(engine, c.frames, sig, c.segmentBeginOf);
+        ids[sig] = sig;
+    }
+
+    // Every window through one generator (rebinding reuses its
+    // scratch) and through the row-blocked driver.
     ToggleColumnGenerator gen(engine);
-    gen.bind(c.frames);
-    const size_t n = c.frames.size();
-    std::vector<uint64_t> col(gen.wordCount());
-    for (uint32_t sig = 0; sig < c.netlist.signalCount(); ++sig) {
-        gen.fillColumn(sig, col.data());
-        const std::vector<uint8_t> want =
-            ref::toggleColumn(engine, c.frames, sig);
-        for (size_t i = 0; i < n; ++i) {
-            const bool prod = (col[i >> 6] >> (i & 63)) & 1;
-            if (prod != static_cast<bool>(want[i]))
-                return fmt("shape=%s: sig=%u kind=%d cycle=%zu "
-                           "prod=%d ref=%d",
-                           c.shape.c_str(), sig,
-                           static_cast<int>(c.netlist.signal(sig).kind),
-                           i, prod, static_cast<int>(want[i]));
-        }
-        if (n & 63) {
-            const uint64_t tail = col[n >> 6] >> (n & 63);
-            if (tail != 0)
-                return fmt("shape=%s: sig=%u tail bits set", c.shape.c_str(),
-                           sig);
+    BitColumnMatrix blocked;
+    for (const auto &[first, count] : c.windows) {
+        gen.bind(c.frames, c.segmentBeginOf, first, count);
+        std::vector<uint64_t> col(gen.wordCount());
+        fillToggleColumns(engine, c.frames, c.segmentBeginOf, first,
+                          count, ids, blocked);
+        for (uint32_t sig = 0; sig < m; ++sig) {
+            const int kind = static_cast<int>(c.netlist.signal(sig).kind);
+            gen.fillColumn(sig, col.data());
+            if (auto d = compareColumn(col.data(), want[sig], first,
+                                       count, c.shape + "+bind", sig,
+                                       kind))
+                return d;
+            if (auto d = compareColumn(blocked.colWords(sig), want[sig],
+                                       first, count,
+                                       c.shape + "+blocked", sig, kind))
+                return d;
         }
     }
+    return std::nullopt;
+}
+
+std::optional<std::string>
+runDatasetBuild(uint64_t seed)
+{
+    const DatasetBuildCase c = makeDatasetBuildCase(seed);
+    DatasetBuilder builder(c.netlist);
+    std::vector<uint32_t> begin_of;
+    size_t row = 0;
+    for (size_t s = 0; s < c.segmentLengths.size(); ++s) {
+        const size_t len = c.segmentLengths[s];
+        builder.addFrames("seg" + std::to_string(s),
+                          std::span(c.frames).subspan(row, len));
+        begin_of.insert(begin_of.end(), len,
+                        static_cast<uint32_t>(row));
+        row += len;
+    }
+    const Dataset ds = builder.build();
+    const Dataset want =
+        ref::datasetBuild(c.netlist, builder.engine(), builder.oracle(),
+                          c.frames, begin_of);
+    const std::string shape =
+        c.shape + fmt("+n=%zu+segments=%zu", c.frames.size(),
+                      c.segmentLengths.size());
+
+    if (ds.X.rows() != want.X.rows() || ds.X.cols() != want.X.cols())
+        return fmt("shape=%s: X is %zux%zu, ref %zux%zu", shape.c_str(),
+                   ds.X.rows(), ds.X.cols(), want.X.rows(),
+                   want.X.cols());
+    for (size_t j = 0; j < ds.X.cols(); ++j)
+        for (size_t w = 0; w < ds.X.wordsPerCol(); ++w)
+            if (ds.X.colWords(j)[w] != want.X.colWords(j)[w])
+                return fmt("shape=%s: X column %zu word %zu: prod=%016llx "
+                           "ref=%016llx",
+                           shape.c_str(), j, w,
+                           static_cast<unsigned long long>(
+                               ds.X.colWords(j)[w]),
+                           static_cast<unsigned long long>(
+                               want.X.colWords(j)[w]));
+    if (ds.y.size() != want.y.size())
+        return fmt("shape=%s: %zu labels, ref %zu", shape.c_str(),
+                   ds.y.size(), want.y.size());
+    for (size_t i = 0; i < ds.y.size(); ++i)
+        if (std::bit_cast<uint32_t>(ds.y[i]) !=
+            std::bit_cast<uint32_t>(want.y[i]))
+            return fmt("shape=%s: label %zu: prod=%a ref=%a",
+                       shape.c_str(), i, ds.y[i], want.y[i]);
     return std::nullopt;
 }
 
@@ -1323,6 +1399,7 @@ oracleRegistry()
         {"gen.toggle_columns", runToggleColumns},
         {"gen.fitness_power", runFitnessPower},
         {"gen.ga_pipeline", runGaPipeline},
+        {"trace.dataset_build", runDatasetBuild},
         {"control.droop_trigger", runDroopTrigger},
     };
     return registry;

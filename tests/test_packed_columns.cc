@@ -17,6 +17,7 @@
 #include "apollo.hh"
 
 #include "activity/toggle_columns.hh"
+#include "ref/reference_ga.hh"
 #include "ref/reference_kernels.hh"
 #include "util/popcnt_kernels.hh"
 
@@ -84,7 +85,22 @@ allSignals(const Netlist &netlist)
 // multi-word length with a partial tail.
 constexpr size_t kEdgeLengths[] = {0, 1, 63, 64, 65, 200};
 
-TEST(StreamInferPackedColumns, FillMatrixMatchesPerCycleToggles)
+/**
+ * Segment tables over @p n rows: one segment (empty), every row its
+ * own segment, and 63-row segments.
+ */
+std::vector<std::vector<uint32_t>>
+segmentTables(size_t n)
+{
+    std::vector<uint32_t> each(n), by63(n);
+    for (size_t i = 0; i < n; ++i) {
+        each[i] = static_cast<uint32_t>(i);
+        by63[i] = static_cast<uint32_t>(i - i % 63);
+    }
+    return {{}, each, by63};
+}
+
+TEST(StreamInferPackedColumns, TraceProxiesMatchesReferenceColumns)
 {
     const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
     const ActivityEngine engine(netlist);
@@ -93,44 +109,58 @@ TEST(StreamInferPackedColumns, FillMatrixMatchesPerCycleToggles)
     for (const size_t n : kEdgeLengths) {
         const std::vector<ActivityFrame> frames =
             randomFrames(n, 0x9a0 + n);
-        ToggleColumnGenerator gen(engine);
-        gen.bind(frames);
-        BitColumnMatrix packed;
-        gen.fillMatrix(ids, packed);
-        ASSERT_EQ(packed.rows(), n);
-        ASSERT_EQ(packed.cols(), ids.size());
-        for (size_t k = 0; k < ids.size(); ++k)
-            for (size_t i = 0; i < n; ++i)
-                ASSERT_EQ(packed.get(i, k),
-                          engine.toggles(ids[k], frames, i, 0))
-                    << "n=" << n << " sig=" << ids[k] << " cycle=" << i;
+        for (const std::vector<uint32_t> &table : segmentTables(n)) {
+            const BitColumnMatrix packed =
+                DatasetBuilder::traceProxies(engine, frames, ids, table);
+            ASSERT_EQ(packed.rows(), n);
+            ASSERT_EQ(packed.cols(), ids.size());
+            for (size_t k = 0; k < ids.size(); ++k) {
+                const std::vector<uint8_t> want =
+                    ref::toggleColumn(engine, frames, ids[k], table);
+                for (size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(packed.get(i, k), want[i] != 0)
+                        << "n=" << n << " segments=" << table.size()
+                        << " sig=" << ids[k] << " cycle=" << i;
+            }
+        }
     }
 }
 
-TEST(StreamInferPackedColumns, FillMatrixMatchesNaiveGenerator)
+TEST(StreamInferPackedColumns, FillColumnMatchesReferenceOverWindows)
 {
     const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
     const ActivityEngine engine(netlist);
-    const std::vector<uint32_t> ids = allSignals(netlist);
     const std::vector<ActivityFrame> frames = randomFrames(321, 0xb5);
+    std::vector<uint32_t> table;
+    uint32_t start = 0;
+    for (const uint32_t len : {1u, 64u, 65u, 2u, 189u}) {
+        table.insert(table.end(), len, start);
+        start += len;
+    }
+    ASSERT_EQ(table.size(), frames.size());
+    const std::pair<size_t, size_t> windows[] = {
+        {0, 321}, {1, 200}, {63, 65}, {64, 64}, {66, 70}, {131, 190},
+        {320, 1}};
 
-    ToggleColumnGenerator fast(engine);
-    fast.bind(frames);
-    BitColumnMatrix packed;
-    fast.fillMatrix(ids, packed);
-
-    ToggleColumnGenerator naive(engine);
-    naive.naive = true;
-    naive.bind(frames);
-    BitColumnMatrix expect;
-    naive.fillMatrix(ids, expect);
-
-    ASSERT_EQ(packed.rows(), expect.rows());
-    ASSERT_EQ(packed.wordsPerCol(), expect.wordsPerCol());
-    for (size_t k = 0; k < ids.size(); ++k)
-        for (size_t w = 0; w < packed.wordsPerCol(); ++w)
-            ASSERT_EQ(packed.colWords(k)[w], expect.colWords(k)[w])
-                << "sig=" << ids[k] << " word=" << w;
+    ToggleColumnGenerator gen(engine);
+    for (const auto &[first, count] : windows) {
+        gen.bind(frames, table, first, count);
+        std::vector<uint64_t> col(gen.wordCount());
+        for (uint32_t sig = 0; sig < netlist.signalCount(); ++sig) {
+            gen.fillColumn(sig, col.data());
+            const std::vector<uint8_t> want =
+                ref::toggleColumn(engine, frames, sig, table);
+            for (size_t i = 0; i < count; ++i)
+                ASSERT_EQ((col[i >> 6] >> (i & 63)) & 1, want[first + i])
+                    << "window=[" << first << ",+" << count
+                    << ") sig=" << sig << " row=" << first + i;
+            if (count & 63) {
+                ASSERT_EQ(col[count >> 6] >> (count & 63), 0u)
+                    << "window=[" << first << ",+" << count
+                    << ") sig=" << sig;
+            }
+        }
+    }
 }
 
 TEST(StreamInferPackedColumns, TailBitsAreZeroAtWordBoundaries)
@@ -142,10 +172,8 @@ TEST(StreamInferPackedColumns, TailBitsAreZeroAtWordBoundaries)
     for (const size_t n : kEdgeLengths) {
         const std::vector<ActivityFrame> frames =
             randomFrames(n, 0xc70 + n);
-        ToggleColumnGenerator gen(engine);
-        gen.bind(frames);
-        BitColumnMatrix packed;
-        gen.fillMatrix(ids, packed);
+        const BitColumnMatrix packed =
+            DatasetBuilder::traceProxies(engine, frames, ids, {});
         ASSERT_EQ(packed.wordsPerCol(), (n + 63) / 64) << "n=" << n;
         if (n == 0 || (n & 63) == 0)
             continue;

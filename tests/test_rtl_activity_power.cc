@@ -10,9 +10,11 @@
 #include <cmath>
 
 #include "activity/activity_engine.hh"
+#include "activity/toggle_columns.hh"
 #include "power/pdn_model.hh"
 #include "power/power_oracle.hh"
 #include "rtl/design_builder.hh"
+#include "trace/stream_reader.hh"
 #include "trace/toggle_trace.hh"
 #include "uarch/core.hh"
 
@@ -190,6 +192,97 @@ TEST(ActivityEngine, StatelessnessAnySubsetMatchesFullTrace)
         for (size_t i = 0; i < full.cycles(); ++i)
             ASSERT_EQ(proxy_bits.get(i, q), full.X.get(i, subset[q]))
                 << "mismatch at cycle " << i << " signal " << subset[q];
+}
+
+/** Two programs' frames (two segments) and their valid table. */
+struct TwoSegments
+{
+    DatasetBuilder builder;
+    std::vector<uint32_t> ids;
+
+    explicit TwoSegments(const Netlist &nl) : builder(nl)
+    {
+        builder.addProgram(
+            Program::makeLoop("a", {vfma(0, 1, 2), ldr(3, 30, 8)}, 400),
+            150);
+        builder.addProgram(Program::makeLoop("b", {add(0, 1, 2)}, 400),
+                           150);
+        for (uint32_t s = 0; s < nl.signalCount(); s += 11)
+            ids.push_back(s);
+    }
+};
+
+/** One malformed segment table per rejected shape, over @p good. */
+std::vector<std::pair<std::string, std::vector<uint32_t>>>
+malformedTables(const std::vector<uint32_t> &good)
+{
+    const size_t n = good.size();
+    std::vector<std::pair<std::string, std::vector<uint32_t>>> bad = {
+        {"short", {good.begin(), good.end() - 1}},
+        {"long", good},
+        {"first-not-zero", good},
+        {"ahead-of-index", good},
+        {"not-predecessor", good},
+    };
+    bad[1].second.push_back(good.back());
+    bad[2].second[0] = 3;
+    bad[3].second[5] = 9;
+    bad[4].second[n - 3] = 1;
+    return bad;
+}
+
+TEST(SegmentTable, TraceProxiesRejectsMalformedTables)
+{
+    const Netlist nl = tinyNetlist();
+    const TwoSegments two(nl);
+    const DatasetBuilder &b = two.builder;
+    for (const auto &[shape, table] :
+         malformedTables(b.segmentBeginTable()))
+        EXPECT_THROW(DatasetBuilder::traceProxies(b.engine(), b.frames(),
+                                                  two.ids, table),
+                     FatalError)
+            << shape;
+    EXPECT_NO_THROW(DatasetBuilder::traceProxies(
+        b.engine(), b.frames(), two.ids, b.segmentBeginTable()));
+}
+
+TEST(SegmentTable, ChunkReaderRejectsMalformedTables)
+{
+    const Netlist nl = tinyNetlist();
+    const TwoSegments two(nl);
+    const DatasetBuilder &b = two.builder;
+    for (const auto &[shape, table] :
+         malformedTables(b.segmentBeginTable()))
+        EXPECT_THROW(FrameProxyChunkReader(b.engine(), b.frames(),
+                                           two.ids, table),
+                     FatalError)
+            << shape;
+    EXPECT_NO_THROW(FrameProxyChunkReader(b.engine(), b.frames(),
+                                          two.ids,
+                                          b.segmentBeginTable()));
+}
+
+TEST(SegmentTable, BindRejectsMalformedTablesAndWindows)
+{
+    const Netlist nl = tinyNetlist();
+    const TwoSegments two(nl);
+    const DatasetBuilder &b = two.builder;
+    const std::span<const ActivityFrame> frames(b.frames());
+    const size_t n = frames.size();
+    ToggleColumnGenerator gen(b.engine());
+    for (const auto &[shape, table] :
+         malformedTables(b.segmentBeginTable()))
+        EXPECT_THROW(gen.bind(frames, table, 0, n), FatalError) << shape;
+
+    // Windows running past the frames, directly and through the
+    // row-blocked driver.
+    BitColumnMatrix out;
+    EXPECT_THROW(gen.bind(frames, {}, n - 10, 11), FatalError);
+    EXPECT_THROW(gen.bind(frames, {}, n + 1, 0), FatalError);
+    EXPECT_THROW(fillToggleColumns(b.engine(), frames, {}, n - 10, 11,
+                                   two.ids, out),
+                 FatalError);
+    EXPECT_NO_THROW(gen.bind(frames, b.segmentBeginTable(), n - 10, 10));
 }
 
 TEST(ActivityEngine, ToggleProbabilityClampsAndResponds)

@@ -544,5 +544,44 @@ TEST(EmulatorFlow, StreamingBackboneMatchesBatchTrace)
     EXPECT_EQ(sink.values(), streamed.power);
 }
 
+TEST(EmulatorFlow, FrameChunksConcatenateToTraceProxies)
+{
+    // Three segments (one of a single cycle); every chunk size yields
+    // the rows of the whole-trace traceProxies output.
+    const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
+    DatasetBuilder builder(netlist);
+    builder.addProgram(makeLongWorkload("a", 3000, 1), 700);
+    builder.addProgram(makeLongWorkload("b", 3000, 2), 1);
+    builder.addProgram(makeLongWorkload("c", 3000, 3), 650);
+    std::vector<uint32_t> ids;
+    for (uint32_t s = 0; s < netlist.signalCount(); s += 5)
+        ids.push_back(s);
+    const BitColumnMatrix whole = DatasetBuilder::traceProxies(
+        builder.engine(), builder.frames(), ids,
+        builder.segmentBeginTable());
+    ASSERT_EQ(whole.rows(), 1351u);
+
+    for (const size_t rows : {1, 63, 64, 65, 1000}) {
+        FrameProxyChunkReader reader(builder.engine(), builder.frames(),
+                                     ids, builder.segmentBeginTable());
+        ProxyChunk chunk;
+        size_t pos = 0;
+        for (;;) {
+            const StatusOr<size_t> got = reader.next(rows, chunk);
+            ASSERT_TRUE(got.ok()) << got.status().toString();
+            if (*got == 0)
+                break;
+            ASSERT_EQ(chunk.firstCycle, pos);
+            for (size_t q = 0; q < ids.size(); ++q)
+                for (size_t i = 0; i < *got; ++i)
+                    ASSERT_EQ(chunk.bits.get(i, q), whole.get(pos + i, q))
+                        << "chunk rows=" << rows << " row=" << pos + i
+                        << " sig=" << ids[q];
+            pos += *got;
+        }
+        EXPECT_EQ(pos, whole.rows()) << "chunk rows=" << rows;
+    }
+}
+
 } // namespace
 } // namespace apollo

@@ -48,17 +48,19 @@ if [[ $# -gt 0 ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
 elif [[ "$SANITIZER" == "tsan" ]]; then
     # TSan focuses on the threaded paths: the serving layer, the
-    # parallel streaming engine, the threaded GA pipeline, the sharded
-    # screen/solve (mmap readers fanned over the worker pool), and the
-    # droop lab's scenario fan-out.
+    # parallel streaming engine, the threaded GA pipeline, the
+    # row-blocked toggle-column driver (block workers write disjoint
+    # 64-row words of shared columns), the sharded screen/solve (mmap
+    # readers fanned over the worker pool), and the droop lab's
+    # scenario fan-out.
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab'
+        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab'
 else
     # Streaming + serving suites plus the differential-oracle layer
     # (label "oracle": every production path vs its reference under
     # ASan+UBSan) and the corpus-replay fuzz drivers (label "fuzz").
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|HashKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+        'SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|HashKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
 fi
 echo "sanitizer run clean (${SANITIZER})"
