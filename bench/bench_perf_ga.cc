@@ -2,35 +2,38 @@
  * @file
  * GA training-data generation perf bench: times the design-time
  * bottleneck — the Fig. 3 GA run plus power-uniform training-set
- * export — with the pipeline's optimization layers toggled one at a
- * time:
+ * export — through the one production pipeline (parallel, cached,
+ * single-pass, column-kernel fitness; docs/INTERNALS.md §9) at two
+ * thread counts:
  *
- *   baseline       serial, uncached, scalar per-cycle fitness path,
- *                  two-pass export (re-simulates every selected
- *                  individual — the seed pipeline)
- *   +vectorized    batched toggle-column / bit-kernel fitness oracle
- *   +cache         genome-keyed fitness cache (elites and converged
- *                  populations skip re-simulation)
- *   +single-pass   dataset export reuses the frames captured during
- *                  fitness simulation
- *   all            + fitness evaluations fanned over the thread pool
+ *   serial   threads=1
+ *   all      threads=0 (the global pool, hardware concurrency)
  *
- * Counter-seeded slot RNG makes the GA trajectory independent of every
- * layer, so the bench gates hard on (a) identical per-generation
- * best/worst fitness across all layers, (b) byte-identical exported
- * training datasets (including vs the production generateTrainingSet
- * entry point), and (c) a wall-clock speedup floor over the GA run +
- * training selection (the phase these layers optimize). Dataset
- * materialization (DatasetBuilder::build: every signal's toggle
- * columns, then the oracle label pass) is identical across layers and
- * is reported but not gated; in the traced bench/e2e train_n1 run on a
- * 4-vCPU host it took 0.22 s of a 1.84 s model build, next to 0.57 s
- * of GA and 0.92 s of proxy selection.
- * The gated speedup is the best optimized configuration vs baseline:
- * on a multicore host that is the `all` layer; on a single-core host
- * `all` degenerates to `+single-pass` plus pool overhead, and picking
- * the best keeps the gate robust to that noise. Results go to
- * BENCH_ga.json.
+ * and against the src/ref fitness transcription, which evaluates
+ * ref::fitnessAveragePower one cycle and one signal at a time over
+ * every individual's captured window. That is the fitness work of the
+ * uncached serial seed pipeline without its core simulation, so the
+ * gate below is no weaker than one against the seed pipeline itself.
+ *
+ * Gates (exit 1 with a FAIL: line):
+ *  (a) both rows produce the same per-generation best/worst fitness
+ *      and byte-identical exported datasets, equal to the production
+ *      generateTrainingSet entry point;
+ *  (b) every individual's captured window equals a fresh serial
+ *      re-simulation of its program (so the cache served it its own
+ *      genome's result), and its avgPower equals
+ *      ref::fitnessAveragePower over that window, bit for bit;
+ *  (c) ref_fitness_seconds / best ga_seconds reaches the floor (3x in
+ *      full mode, 1x in smoke mode). ga_seconds covers the GA run plus
+ *      training selection; the best row is `all` on a multicore host
+ *      and `serial` on a single-core one, where `all` only adds pool
+ *      overhead.
+ *
+ * Dataset materialization (DatasetBuilder::build: every signal's
+ * toggle columns, then the oracle label pass) is reported but not
+ * gated; in the traced bench/e2e train_n1 run on a 4-vCPU host it took
+ * 0.22 s of a 1.84 s model build, next to 0.57 s of GA and 0.92 s of
+ * proxy selection. Results go to BENCH_ga.json.
  *
  * Usage: bench_perf_ga [--smoke] [--reps=N] [--out=PATH]
  * (--smoke: fast-mode budgets + relaxed timing floor; used by the
@@ -46,26 +49,39 @@
 #include <vector>
 
 #include "common.hh"
+#include "ref/reference_ga.hh"
 
 using namespace apollo;
 using namespace apollo::bench;
 
 namespace {
 
-struct LayerConfig
+using Clock = std::chrono::steady_clock;
+
+double
+secondsBetween(Clock::time_point t0, Clock::time_point t1)
 {
-    const char *name;
-    bool vectorized;
-    bool cache;
-    bool singlePass;
-    uint32_t threads; // 0 = hardware concurrency
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/** The reference fitness pass over every individual's window. */
+struct ReferenceResult
+{
+    size_t windows = 0;
+    uint64_t cycles = 0;
+    double seconds = 0.0;
+    /** Captured windows that differ from a fresh re-simulation. */
+    size_t frameMismatches = 0;
+    /** avgPower values that differ from the reference in any bit. */
+    size_t mismatches = 0;
 };
 
-struct LayerResult
+struct PipelineRun
 {
     std::string name;
-    double gaSeconds = 0.0;
-    double exportSeconds = 0.0;
+    uint32_t threads = 0;
+    double gaSeconds = 1e300;
+    double exportSeconds = 1e300;
     /** Per-generation (best, worst) fitness — the GA trajectory. */
     std::vector<std::pair<double, double>> trajectory;
     GaRunStats stats;
@@ -98,53 +114,105 @@ serialize(const Dataset &ds)
     return os.str();
 }
 
+bool
+sameFrames(std::span<const ActivityFrame> a,
+           std::span<const ActivityFrame> b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (a[i].cycle != b[i].cycle || a[i].activity != b[i].activity ||
+            a[i].clockEnabled != b[i].clockEnabled ||
+            a[i].dataToggle != b[i].dataToggle)
+            return false;
+    return true;
+}
+
 /**
- * One full GA + export run with the layer's switches. The export
+ * Certify every individual against src/ref: its captured window must
+ * equal a fresh serial re-simulation of its program (untimed), and its
+ * avgPower must equal ref::fitnessAveragePower over that window (timed;
+ * the reference's run time is the gate's baseline). A cache that
+ * served an individual another genome's result fails the first check.
+ */
+ReferenceResult
+checkAgainstReference(const GaGenerator &ga, const DatasetBuilder &builder,
+                      const GaConfig &cfg)
+{
+    ReferenceResult ref_run;
+    std::vector<ActivityFrame> resim;
+    for (const GaIndividual &ind : ga.all()) {
+        const std::span<const ActivityFrame> frames =
+            ga.capturedFrames(ind.id);
+        resim.clear();
+        TimingCore core(builder.coreParams());
+        core.run(GaGenerator::toProgram(
+                     ind, "ga",
+                     GaGenerator::fitnessIterations(ind.body.size(),
+                                                    cfg.fitnessCycles)),
+                 cfg.fitnessCycles,
+                 [&](const ActivityFrame &f) { resim.push_back(f); });
+        if (!sameFrames(frames, resim))
+            ref_run.frameMismatches++;
+
+        const auto t0 = Clock::now();
+        const double want = ref::fitnessAveragePower(
+            builder.netlist(), builder.engine(), builder.oracle(), frames,
+            cfg.fitnessSignalStride);
+        ref_run.seconds += secondsBetween(t0, Clock::now());
+        ref_run.windows++;
+        ref_run.cycles += frames.size();
+        if (want != ind.avgPower)
+            ref_run.mismatches++;
+    }
+    return ref_run;
+}
+
+/**
+ * One full GA + export run per rep (best time kept). The export
  * mirrors flow/flows.cc generateTrainingSet exactly (same benchmark
  * names and re-simulation trip counts) so the byte-identity gate
- * compares like with like across layers and vs the production entry.
+ * compares like with like across rows and vs the production entry.
+ * When @p ref_out is set, the first rep's individuals are also
+ * checked against the reference, outside the timed region.
  */
-LayerResult
-runLayer(const LayerConfig &layer, const Netlist &netlist,
-         const GaConfig &base, const TrainExportBudget &budget,
-         int reps)
+PipelineRun
+runPipeline(const char *name, uint32_t threads, const Netlist &netlist,
+            const GaConfig &base, const TrainExportBudget &budget,
+            int reps, ReferenceResult *ref_out)
 {
-    LayerResult result;
-    result.name = layer.name;
-    result.gaSeconds = 1e300;
-    result.exportSeconds = 1e300;
+    PipelineRun result;
+    result.name = name;
+    result.threads = threads;
 
     GaConfig cfg = base;
-    cfg.vectorizedFitness = layer.vectorized;
-    cfg.cacheFitness = layer.cache;
-    cfg.captureFrames = layer.singlePass;
-    cfg.threads = layer.threads;
+    cfg.threads = threads;
 
     for (int rep = 0; rep < reps; ++rep) {
         DatasetBuilder fitness(netlist);
 
-        const auto t0 = std::chrono::steady_clock::now();
+        const auto t0 = Clock::now();
         GaGenerator ga(fitness, cfg);
         ga.run();
         const std::vector<GaIndividual> selected =
             ga.selectTrainingSet(budget.benchmarks);
-        const auto t1 = std::chrono::steady_clock::now();
+        const auto t1 = Clock::now();
 
         DatasetBuilder train(netlist);
         uint64_t resim_cycles = 0;
         int idx = 0;
         for (const GaIndividual &ind : selected) {
-            const std::string name = "ga" + std::to_string(idx++);
-            std::span<const ActivityFrame> captured =
+            const std::string bench_name = "ga" + std::to_string(idx++);
+            const std::span<const ActivityFrame> captured =
                 ga.capturedFrames(ind.id);
             if (captured.size() >= budget.cyclesEach) {
                 train.addFrames(
-                    name, captured.subspan(0, budget.cyclesEach));
+                    bench_name, captured.subspan(0, budget.cyclesEach));
             } else {
                 const size_t before = train.frames().size();
                 train.addProgram(
                     GaGenerator::toProgram(
-                        ind, name,
+                        ind, bench_name,
                         GaGenerator::fitnessIterations(
                             ind.body.size(), cfg.fitnessCycles)),
                     budget.cyclesEach);
@@ -152,19 +220,19 @@ runLayer(const LayerConfig &layer, const Netlist &netlist,
             }
         }
         const Dataset ds = train.build();
-        const auto t2 = std::chrono::steady_clock::now();
+        const auto t2 = Clock::now();
 
-        result.gaSeconds = std::min(
-            result.gaSeconds,
-            std::chrono::duration<double>(t1 - t0).count());
-        result.exportSeconds = std::min(
-            result.exportSeconds,
-            std::chrono::duration<double>(t2 - t1).count());
+        result.gaSeconds =
+            std::min(result.gaSeconds, secondsBetween(t0, t1));
+        result.exportSeconds =
+            std::min(result.exportSeconds, secondsBetween(t1, t2));
         if (rep == 0) {
             result.trajectory = trajectoryOf(ga, cfg.generations);
             result.stats = ga.stats();
             result.exportSimulatedCycles = resim_cycles;
             result.datasetBytes = serialize(ds);
+            if (ref_out)
+                *ref_out = checkAgainstReference(ga, fitness, cfg);
         }
     }
     return result;
@@ -173,7 +241,8 @@ runLayer(const LayerConfig &layer, const Netlist &netlist,
 void
 writeJson(const std::string &path, const char *mode,
           const GaConfig &cfg, const TrainExportBudget &budget,
-          const std::vector<LayerResult> &runs, double speedup,
+          const std::vector<PipelineRun> &runs,
+          const ReferenceResult &ref_run, double best_ga_seconds,
           bool production_match, const std::string &obs_json)
 {
     std::ofstream os(path);
@@ -183,13 +252,15 @@ writeJson(const std::string &path, const char *mode,
     os << "  \"population\": " << cfg.populationSize
        << ",\n  \"generations\": " << cfg.generations
        << ",\n  \"fitness_cycles\": " << cfg.fitnessCycles
+       << ",\n  \"fitness_signal_stride\": " << cfg.fitnessSignalStride
        << ",\n  \"benchmarks\": " << budget.benchmarks
        << ",\n  \"cycles_each\": " << budget.cyclesEach << ",\n";
     os << "  \"configs\": [\n";
     for (size_t i = 0; i < runs.size(); ++i) {
-        const LayerResult &r = runs[i];
+        const PipelineRun &r = runs[i];
         os << "    {\"name\": \"" << r.name
-           << "\", \"ga_seconds\": " << r.gaSeconds
+           << "\", \"threads\": " << r.threads
+           << ", \"ga_seconds\": " << r.gaSeconds
            << ", \"export_seconds\": " << r.exportSeconds
            << ", \"seconds\": " << r.totalSeconds()
            << ", \"evaluations\": " << r.stats.evaluations
@@ -199,22 +270,24 @@ writeJson(const std::string &path, const char *mode,
            << r.stats.simulatedCycles
            << ", \"export_cycles_resimulated\": "
            << r.exportSimulatedCycles
-           << ", \"trajectory_matches_baseline\": "
+           << ", \"trajectory_matches_serial\": "
            << (r.trajectoryMatch ? "true" : "false")
-           << ", \"dataset_matches_baseline\": "
+           << ", \"dataset_matches_serial\": "
            << (r.datasetMatch ? "true" : "false") << "}"
            << (i + 1 < runs.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
+    os << "  \"reference\": {\"windows\": " << ref_run.windows
+       << ", \"cycles\": " << ref_run.cycles
+       << ", \"ref_fitness_seconds\": " << ref_run.seconds
+       << ", \"captured_frame_mismatches\": " << ref_run.frameMismatches
+       << ", \"avg_power_mismatches\": " << ref_run.mismatches
+       << "},\n";
     os << "  \"obs\": " << obs_json << ",\n";
     os << "  \"dataset_matches_production_pipeline\": "
        << (production_match ? "true" : "false") << ",\n";
-    os << "  \"speedup_ga_best_vs_baseline\": " << speedup << ",\n";
-    os << "  \"speedup_ga_all_vs_baseline\": "
-       << (runs.front().gaSeconds / runs.back().gaSeconds) << ",\n";
-    os << "  \"speedup_total_all_vs_baseline\": "
-       << (runs.front().totalSeconds() / runs.back().totalSeconds())
-       << "\n";
+    os << "  \"speedup_ref_fitness_vs_best_ga\": "
+       << ref_run.seconds / best_ga_seconds << "\n";
     os << "}\n";
 }
 
@@ -248,36 +321,33 @@ main(int argc, char **argv)
     }
 
     std::printf("bench_perf_ga: design=%s pop=%u gens=%u "
-                "fitness_cycles=%llu export=%zux%llu reps=%d%s\n",
+                "fitness_cycles=%llu stride=%u export=%zux%llu "
+                "reps=%d%s\n",
                 netlist.name().c_str(), base.populationSize,
                 base.generations,
                 static_cast<unsigned long long>(base.fitnessCycles),
-                budget.benchmarks,
+                base.fitnessSignalStride, budget.benchmarks,
                 static_cast<unsigned long long>(budget.cyclesEach),
                 reps, smoke ? " [smoke]" : "");
 
     const auto obs_before = obsCounters();
-    const LayerConfig layers[] = {
-        {"baseline", false, false, false, 1},
-        {"vectorized", true, false, false, 1},
-        {"vectorized+cache", true, true, false, 1},
-        {"vectorized+cache+single-pass", true, true, true, 1},
-        {"all", true, true, true, 0},
-    };
+    ReferenceResult ref_run;
+    std::vector<PipelineRun> runs;
+    runs.push_back(
+        runPipeline("serial", 1, netlist, base, budget, reps, nullptr));
+    runs.push_back(
+        runPipeline("all", 0, netlist, base, budget, reps, &ref_run));
 
-    std::vector<LayerResult> runs;
-    for (const LayerConfig &layer : layers) {
-        LayerResult r = runLayer(layer, netlist, base, budget, reps);
-        if (!runs.empty()) {
-            r.trajectoryMatch =
-                r.trajectory == runs.front().trajectory;
-            r.datasetMatch =
-                r.datasetBytes == runs.front().datasetBytes;
-        }
-        std::printf("  %-29s %8.3fs (ga %7.3fs + export %6.3fs)  "
-                    "evals=%-4llu hits=%-4llu resim_cycles=%-6llu%s%s\n",
-                    r.name.c_str(), r.totalSeconds(), r.gaSeconds,
-                    r.exportSeconds,
+    double best_ga = runs.front().gaSeconds;
+    for (PipelineRun &r : runs) {
+        r.trajectoryMatch = r.trajectory == runs.front().trajectory;
+        r.datasetMatch = r.datasetBytes == runs.front().datasetBytes;
+        best_ga = std::min(best_ga, r.gaSeconds);
+        std::printf("  %-7s threads=%u %8.3fs (ga %7.3fs + export "
+                    "%6.3fs)  evals=%-4llu hits=%-4llu "
+                    "resim_cycles=%-6llu%s%s\n",
+                    r.name.c_str(), r.threads, r.totalSeconds(),
+                    r.gaSeconds, r.exportSeconds,
                     static_cast<unsigned long long>(
                         r.stats.evaluations),
                     static_cast<unsigned long long>(r.stats.cacheHits),
@@ -285,18 +355,23 @@ main(int argc, char **argv)
                         r.exportSimulatedCycles),
                     r.trajectoryMatch ? "" : "  TRAJECTORY MISMATCH",
                     r.datasetMatch ? "" : "  DATASET MISMATCH");
-        runs.push_back(std::move(r));
     }
+    std::printf("  reference fitness: %zu windows, %llu cycles, %.3fs, "
+                "%zu captured-window and %zu avgPower mismatches\n",
+                ref_run.windows,
+                static_cast<unsigned long long>(ref_run.cycles),
+                ref_run.seconds, ref_run.frameMismatches,
+                ref_run.mismatches);
 
-    // Tie the bench to the production entry point: the fully optimized
-    // flow through generateTrainingSet must emit the same bytes.
+    // Tie the bench to the production entry point: generateTrainingSet
+    // must emit the same bytes.
     TrainingGenOptions opts;
     opts.ga = base;
     opts.benchmarks = budget.benchmarks;
     opts.cyclesEach = budget.cyclesEach;
     const StatusOr<TrainingGenReport> report =
         generateTrainingSet(netlist, opts);
-    bool production_match =
+    const bool production_match =
         report.ok() &&
         serialize(report->dataset) == runs.front().datasetBytes;
     std::printf("  production generateTrainingSet: %s (resimulated "
@@ -306,28 +381,31 @@ main(int argc, char **argv)
                                   report->exportSimulatedCycles)
                             : 0ULL);
 
-    double best_ga = runs.back().gaSeconds;
-    for (const LayerResult &r : runs)
-        if (&r != &runs.front())
-            best_ga = std::min(best_ga, r.gaSeconds);
-    const double speedup = runs.front().gaSeconds / best_ga;
-    std::printf("GA speedup (best optimized vs baseline): %.2fx  "
-                "(all layers: %.2fx, end-to-end with export: %.2fx)\n",
-                speedup,
-                runs.front().gaSeconds / runs.back().gaSeconds,
-                runs.front().totalSeconds() /
-                    runs.back().totalSeconds());
-    writeJson(out, smoke ? "smoke" : "full", base, budget, runs,
-              speedup, production_match, obsDeltaJson(obs_before));
+    const double speedup = ref_run.seconds / best_ga;
+    std::printf("GA speedup (reference fitness vs best GA run): %.2fx\n",
+                speedup);
+    writeJson(out, smoke ? "smoke" : "full", base, budget, runs, ref_run,
+              best_ga, production_match, obsDeltaJson(obs_before));
     std::printf("wrote %s\n", out.c_str());
 
     bool identical = production_match;
-    for (const LayerResult &r : runs)
+    for (const PipelineRun &r : runs)
         identical = identical && r.trajectoryMatch && r.datasetMatch;
     if (!identical) {
         std::fprintf(stderr,
-                     "FAIL: optimized configurations changed the GA "
-                     "trajectory or the exported dataset\n");
+                     "FAIL: thread count changed the GA trajectory or "
+                     "the exported dataset, or generateTrainingSet "
+                     "differs\n");
+        return 1;
+    }
+    if (ref_run.frameMismatches != 0 || ref_run.mismatches != 0 ||
+        ref_run.windows == 0) {
+        std::fprintf(stderr,
+                     "FAIL: of %zu individuals, %zu captured windows "
+                     "differ from a re-simulation and %zu avgPower values "
+                     "from ref::fitnessAveragePower\n",
+                     ref_run.windows, ref_run.frameMismatches,
+                     ref_run.mismatches);
         return 1;
     }
     // Timing gate: generous in smoke mode (shared CI machines), the

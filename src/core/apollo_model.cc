@@ -6,6 +6,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <unordered_set>
 
 #include "util/logging.hh"
 
@@ -23,14 +24,8 @@ ApolloModel::sumAbsWeights() const
 std::vector<float>
 ApolloModel::predictFull(const BitColumnMatrix &X) const
 {
-    APOLLO_REQUIRE(proxyIds.size() == weights.size(),
-                   "model arity mismatch");
-    std::vector<float> out(X.rows(), static_cast<float>(intercept));
-    for (size_t q = 0; q < proxyIds.size(); ++q) {
-        APOLLO_REQUIRE(proxyIds[q] < X.cols(), "proxy id out of range");
-        if (weights[q] != 0.0f)
-            X.axpyColumn(proxyIds[q], weights[q], out.data());
-    }
+    std::vector<float> out(X.rows());
+    cycleSums(X, Layout::Full, static_cast<float>(intercept), out);
     return out;
 }
 
@@ -38,22 +33,26 @@ std::vector<float>
 ApolloModel::predictProxies(const BitColumnMatrix &Xq) const
 {
     std::vector<float> out(Xq.rows());
-    predictProxiesInto(Xq, out);
+    cycleSums(Xq, Layout::Proxies, static_cast<float>(intercept), out);
     return out;
 }
 
 void
-ApolloModel::predictProxiesInto(const BitColumnMatrix &Xq,
-                                std::span<float> out) const
+ApolloModel::cycleSums(const BitColumnMatrix &X, Layout layout,
+                       float start, std::span<float> out) const
 {
-    APOLLO_REQUIRE(Xq.cols() == proxyIds.size(),
+    APOLLO_REQUIRE(proxyIds.size() == weights.size(),
+                   "model arity mismatch");
+    APOLLO_REQUIRE(layout == Layout::Full || X.cols() == proxyIds.size(),
                    "proxy matrix arity mismatch");
-    APOLLO_REQUIRE(out.size() >= Xq.rows(), "output buffer too small");
-    std::fill(out.begin(), out.begin() + Xq.rows(),
-              static_cast<float>(intercept));
-    for (size_t q = 0; q < proxyIds.size(); ++q)
+    APOLLO_REQUIRE(out.size() >= X.rows(), "output buffer too small");
+    std::fill(out.begin(), out.begin() + X.rows(), start);
+    for (size_t q = 0; q < proxyIds.size(); ++q) {
+        const size_t col = layout == Layout::Full ? proxyIds[q] : q;
+        APOLLO_REQUIRE(col < X.cols(), "proxy id out of range");
         if (weights[q] != 0.0f)
-            Xq.axpyColumn(q, weights[q], out.data());
+            X.axpyColumn(col, weights[q], out.data());
+    }
 }
 
 void
@@ -79,10 +78,19 @@ ApolloModel::load(std::istream &is)
     is >> model.designName;
     size_t q = 0;
     is >> q >> model.intercept;
-    model.proxyIds.resize(q);
-    model.weights.resize(q);
-    for (size_t i = 0; i < q; ++i)
-        is >> model.proxyIds[i] >> model.weights[i];
+    // The declared count is untrusted: the vectors grow only with the
+    // entries the stream actually holds.
+    std::unordered_set<uint32_t> seen;
+    for (size_t i = 0; i < q; ++i) {
+        uint32_t id = 0;
+        float weight = 0.0f;
+        if (!(is >> id >> weight))
+            break;
+        APOLLO_REQUIRE(seen.insert(id).second, "duplicate proxy id ", id,
+                       " in model file");
+        model.proxyIds.push_back(id);
+        model.weights.push_back(weight);
+    }
     APOLLO_REQUIRE(static_cast<bool>(is), "truncated model file");
     return model;
 }

@@ -33,6 +33,15 @@ struct ApolloModel
 
     size_t proxyCount() const { return proxyIds.size(); }
 
+    /** Column layout of a matrix the model reads. */
+    enum class Layout
+    {
+        /** All M signals: proxy q reads column proxyIds[q]. */
+        Full,
+        /** Proxy-only (emulator-assisted): proxy q reads column q. */
+        Proxies,
+    };
+
     /** sum_j |w_j| (Fig. 13 diagnostic). */
     double sumAbsWeights() const;
 
@@ -49,18 +58,25 @@ struct ApolloModel
     std::vector<float> predictProxies(const BitColumnMatrix &Xq) const;
 
     /**
-     * Proxy-layout prediction into a caller-owned buffer (out.size()
-     * >= Xq.rows(); entries past Xq.rows() are untouched). This is the
-     * single inference kernel both predictProxies() and the streaming
-     * engine's chunk workers call, so chunked results are bit-identical
-     * to the batch path by construction: per output element the float
-     * additions are intercept, then w_q for each set proxy bit in
-     * ascending q — independent of how rows are chunked.
+     * The one per-cycle float kernel: out[i] = @p start, then += w_q
+     * for each set bit of row i in proxy q's column, in ascending q
+     * (zero weights skipped). predictFull/predictProxies start from the
+     * intercept; the Eq. (9) window paths and the windowed streaming
+     * engine start from 0 and add the intercept once per window. Per
+     * element the float additions do not depend on how rows are
+     * chunked, so chunked results are bit-identical to batch ones.
+     * Writes out[0, X.rows()); out.size() must be >= X.rows(). A
+     * proxy-layout matrix must have exactly proxyCount() columns.
      */
-    void predictProxiesInto(const BitColumnMatrix &Xq,
-                            std::span<float> out) const;
+    void cycleSums(const BitColumnMatrix &X, Layout layout, float start,
+                   std::span<float> out) const;
 
-    /** Serialize / parse a small text format. */
+    /**
+     * Serialize / parse a small text format. load() throws FatalError
+     * on a bad header, a stream holding fewer entries than it declares
+     * (without allocating for the declared count), or a repeated
+     * proxy id.
+     */
     void save(std::ostream &os) const;
     static ApolloModel load(std::istream &is);
 };

@@ -25,27 +25,19 @@ checkSegments(std::span<const SegmentInfo> segments, size_t rows)
     return Status::okStatus();
 }
 
-/**
- * Shared Eq. (9) kernel: per-cycle linear sums, averaged per T-window.
- * @p column_of maps model proxy index q to the matrix column to read.
- */
+/** Shared Eq. (9) path: per-cycle linear sums, averaged per T-window. */
 StatusOr<std::vector<float>>
 predictWindowsImpl(const ApolloModel &model, const BitColumnMatrix &X,
                    uint32_t T, std::span<const SegmentInfo> segments,
-                   bool proxy_layout)
+                   ApolloModel::Layout layout)
 {
     if (T < 1)
         return Status::invalidArgument("window size must be positive");
     if (Status st = checkSegments(segments, X.rows()); !st.ok())
         return st;
-    // Per-cycle weighted sums (binary AND-accumulate).
-    std::vector<float> per_cycle(X.rows(), 0.0f);
-    for (size_t q = 0; q < model.proxyIds.size(); ++q) {
-        const size_t col = proxy_layout ? q : model.proxyIds[q];
-        APOLLO_REQUIRE(col < X.cols(), "column out of range");
-        if (model.weights[q] != 0.0f)
-            X.axpyColumn(col, model.weights[q], per_cycle.data());
-    }
+    // Per-cycle weighted sums without intercept (binary AND-accumulate).
+    std::vector<float> per_cycle(X.rows());
+    model.cycleSums(X, layout, 0.0f, per_cycle);
 
     std::vector<float> out;
     for (const SegmentInfo &seg : segments)
@@ -80,7 +72,8 @@ MultiCycleModel::predictWindowsFull(
     const BitColumnMatrix &X, uint32_t T,
     std::span<const SegmentInfo> segments) const
 {
-    return predictWindowsImpl(base, X, T, segments, false);
+    return predictWindowsImpl(base, X, T, segments,
+                              ApolloModel::Layout::Full);
 }
 
 StatusOr<std::vector<float>>
@@ -88,7 +81,8 @@ MultiCycleModel::predictWindowsProxies(
     const BitColumnMatrix &Xq, uint32_t T,
     std::span<const SegmentInfo> segments) const
 {
-    return predictWindowsImpl(base, Xq, T, segments, true);
+    return predictWindowsImpl(base, Xq, T, segments,
+                              ApolloModel::Layout::Proxies);
 }
 
 MultiCycleModel

@@ -252,16 +252,14 @@ generateTrainingSet(const Netlist &netlist,
     // Single-pass export: selected individuals' frames were already
     // captured during fitness simulation; re-simulation (with the
     // identical loop trip count, hence bit-identical frames) is only a
-    // fallback for frames the capture cannot serve.
+    // fallback for captures shorter than cyclesEach.
     const std::vector<GaIndividual> selected =
         ga.selectTrainingSet(options.benchmarks);
     int idx = 0;
     for (const GaIndividual &ind : selected) {
         const std::string name = "ga" + std::to_string(idx++);
-        std::span<const ActivityFrame> captured =
-            options.reuseCapturedFrames
-                ? ga.capturedFrames(ind.id)
-                : std::span<const ActivityFrame>{};
+        const std::span<const ActivityFrame> captured =
+            ga.capturedFrames(ind.id);
         if (captured.size() >= options.cyclesEach) {
             builder.addFrames(name,
                               captured.subspan(0, options.cyclesEach));

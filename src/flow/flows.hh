@@ -119,16 +119,14 @@ struct TrainingGenOptions
     GaConfig ga;
     /** Individuals selected (power-uniformly) for the dataset. */
     size_t benchmarks = 60;
-    /** Cycles exported per selected individual. */
-    uint64_t cyclesEach = 500;
     /**
-     * Reuse frames captured during fitness simulation (single-pass
-     * export). When off — or when a selected individual's captured
-     * frames are shorter than cyclesEach — the individual is
-     * re-simulated with the same loop trip count, which produces
-     * bit-identical frames (docs/INTERNALS.md §9).
+     * Cycles exported per selected individual. Export reuses the
+     * frames captured during fitness simulation; an individual whose
+     * capture is shorter (cyclesEach > ga.fitnessCycles) is
+     * re-simulated with the same loop trip count, which reproduces
+     * the captured frames bit for bit (docs/INTERNALS.md §9).
      */
-    bool reuseCapturedFrames = true;
+    uint64_t cyclesEach = 500;
 };
 
 /** Result of the training-data generation flow. */

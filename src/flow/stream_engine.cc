@@ -87,29 +87,26 @@ StreamPipeline::proxyCount() const
 }
 
 void
-StreamPipeline::computeSums(const BitColumnMatrix &bits, size_t rows,
+StreamPipeline::computeSums(const BitColumnMatrix &bits,
                             ChunkSums &out) const
 {
-    const size_t q = proxyCount();
-    out.rows = rows;
+    out.rows = bits.rows();
     if (qmodel_) {
         // Bit-parallel: one weighted popcount pass per column, 64
         // cycles per word, directly onto the stream's window grid
         // (out.windowPhase0). Never materializes per-cycle rows or
         // sums.
-        opmSegmentSums(*qmodel_, windowT_, out.windowPhase0, bits, rows,
-                       popkernels::kernels(), out.segSums);
-    } else if (windowT_ > 0) {
-        // Weighted sums *without* intercept, like predictWindowsImpl's
-        // per_cycle vector.
-        out.fsums.assign(rows, 0.0f);
-        for (size_t c = 0; c < q; ++c)
-            if (model_->weights[c] != 0.0f)
-                bits.axpyColumn(c, model_->weights[c],
-                                out.fsums.data());
+        opmSegmentSums(*qmodel_, windowT_, out.windowPhase0, bits,
+                       bits.rows(), popkernels::kernels(), out.segSums);
     } else {
-        out.fsums.resize(rows);
-        model_->predictProxiesInto(bits, out.fsums);
+        // Per-cycle predictions, or in windowed mode the weighted sums
+        // without intercept (the window fold adds it once per window).
+        out.fsums.resize(bits.rows());
+        model_->cycleSums(bits, ApolloModel::Layout::Proxies,
+                          windowT_ > 0
+                              ? 0.0f
+                              : static_cast<float>(model_->intercept),
+                          out.fsums);
     }
 }
 
@@ -315,11 +312,14 @@ StreamingInference::run(ProxyChunkReader &reader, PowerSink &sink,
                 at_end = true;
                 break;
             }
+            if (*got != slot.chunk.rows())
+                return Status::invalidArgument(
+                    "reader reported ", *got, " rows for a chunk of ",
+                    slot.chunk.rows());
             if (slot.chunk.proxies() != q)
                 return Status::invalidArgument(
                     "reader serves ", slot.chunk.proxies(),
                     " proxies, model expects ", q);
-            slot.sums.rows = *got;
             slot.sums.firstCycle = slot.chunk.firstCycle;
             slot.sums.windowPhase0 =
                 T ? static_cast<uint32_t>(stream_pos % T) : 0;
@@ -339,8 +339,7 @@ StreamingInference::run(ProxyChunkReader &reader, PowerSink &sink,
         auto t1 = Clock::now();
         parallelFor(filled, [&](size_t s0, size_t s1) {
             for (size_t s = s0; s < s1; ++s)
-                pipe.computeSums(slots[s].chunk.bits,
-                                 slots[s].sums.rows, slots[s].sums);
+                pipe.computeSums(slots[s].chunk.bits, slots[s].sums);
         });
 
         // 3) Ordered emission: replay slot results in cycle order

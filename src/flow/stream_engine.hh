@@ -11,15 +11,14 @@
  * window/accumulator state in cycle order. Results are bit-identical to
  * the batch paths:
  *
- *  - per-cycle float: each chunk worker calls the same
- *    ApolloModel::predictProxiesInto kernel the batch predictProxies()
+ *  - per-cycle float: each chunk worker calls the one per-cycle float
+ *    kernel, ApolloModel::cycleSums, that the batch predictProxies()
  *    uses, and per output element the float additions (intercept, then
  *    w_q per set bit in ascending q) do not depend on row chunking;
- *  - windowed float (Eq. 9): per-cycle sums accumulate like
- *    MultiCycleModel::predictWindowsProxies — float axpy per column,
- *    then the same WindowFold (core/multi_cycle.hh), carried across
- *    chunk boundaries, emitting float(intercept + acc/T) every T
- *    cycles;
+ *  - windowed float (Eq. 9): the same kernel started at 0, as in
+ *    MultiCycleModel::predictWindowsProxies, then the same WindowFold
+ *    (core/multi_cycle.hh), carried across chunk boundaries, emitting
+ *    float(intercept + acc/T) every T cycles;
  *  - quantized: integer sums are exact in any evaluation order, so
  *    the parallel stage computes one weighted-popcount sum per
  *    T-cycle window segment (opmSegmentSums) and the ordered
@@ -273,15 +272,14 @@ class StreamPipeline
     uint64_t outputs() const { return outputs_; }
 
     /**
-     * Stage 1 (pure): per-cycle sums of rows [0, rows) of @p bits into
-     * @p out. Does not read or write pipeline state, so concurrent
-     * calls on one pipeline are safe. Quantized pipelines read
-     * out.windowPhase0 (set it to the stream's window
+     * Stage 1 (pure): per-cycle sums of every row of @p bits into
+     * @p out (out.rows = bits.rows()). Does not read or write pipeline
+     * state, so concurrent calls on one pipeline are safe. Quantized
+     * pipelines read out.windowPhase0 (set it to the stream's window
      * phase at the chunk's first row before calling; a fresh
      * pipeline's first chunk is phase 0, the default).
      */
-    void computeSums(const BitColumnMatrix &bits, size_t rows,
-                     ChunkSums &out) const;
+    void computeSums(const BitColumnMatrix &bits, ChunkSums &out) const;
 
     /**
      * Stage 2 (sequential): advance the window/OPM state through
@@ -352,7 +350,9 @@ class StreamingInference
 
     /**
      * Pump @p reader to exhaustion through @p sink. Returns run stats,
-     * or the first reader/sink/config error.
+     * or the first reader/sink/config error. A reader whose next()
+     * reports a nonzero row count other than chunk.rows(), or a
+     * proxy count other than the model's, is an InvalidArgument.
      */
     StatusOr<StreamStats> run(ProxyChunkReader &reader, PowerSink &sink,
                               const StreamConfig &config = {}) const;

@@ -4,18 +4,16 @@
  * frame window — average finalized oracle power from every stride-th
  * signal, scaled back up (relative ordering is all the GA needs).
  *
- * Two implementations of the same numeric definition (INTERNALS.md §9):
- *  - vectorized (production): column-major batched toggle generation
- *    (ToggleColumnGenerator) feeding weighted bit-column accumulation
- *    (OracleAccumulator) — the fast path;
- *  - scalar: a per-cycle, per-signal loop computing the identical
- *    float accumulation order, kept as the in-tree baseline the perf
- *    bench layers against (the independent oracle lives in src/ref).
+ * One implementation (INTERNALS.md §9): column-major batched toggle
+ * generation (ToggleColumnGenerator) feeding weighted bit-column
+ * accumulation (OracleAccumulator). It is bit-exact for any
+ * frames/stride against the per-cycle transcription in src/ref
+ * (ref::fitnessCyclePowers), which serves as both the differential
+ * oracle and the perf bench's baseline.
  *
- * Both paths are bit-identical for any frames/stride; the evaluator
- * owns reusable scratch so per-individual evaluation allocates nothing
- * after warm-up. Instances are not thread-safe; the GA keeps one per
- * worker.
+ * The evaluator owns reusable scratch, so per-individual evaluation
+ * allocates nothing after warm-up. Instances are not thread-safe; the
+ * GA keeps one per worker.
  */
 
 #ifndef APOLLO_GEN_FITNESS_EVAL_HH
@@ -30,22 +28,17 @@
 
 namespace apollo {
 
-/** Fitness computation options. */
-struct FitnessOptions
-{
-    /** Evaluate every stride-th signal (>= 1; validated by GaConfig). */
-    uint32_t signalStride = 1;
-    /** Use the batched column/bit-kernel path. */
-    bool vectorized = true;
-};
-
 /** Reusable GA fitness evaluator (one per worker). */
 class FitnessEvaluator
 {
   public:
+    /**
+     * @param signal_stride evaluate every stride-th signal (>= 1;
+     *                      validated by GaConfig).
+     */
     FitnessEvaluator(const Netlist &netlist, const ActivityEngine &engine,
                      const PowerOracle &oracle,
-                     const FitnessOptions &options = {});
+                     uint32_t signal_stride = 1);
 
     /**
      * Finalized per-cycle power over @p frames (one segment, lookbacks
@@ -58,13 +51,8 @@ class FitnessEvaluator
     double averagePower(std::span<const ActivityFrame> frames);
 
   private:
-    void cyclePowersScalar(std::span<const ActivityFrame> frames,
-                           std::vector<double> &out);
-
-    const Netlist &netlist_;
-    const ActivityEngine &engine_;
-    const PowerOracle &oracle_;
-    FitnessOptions options_;
+    const size_t signals_;
+    const uint32_t stride_;
     ToggleColumnGenerator gen_;
     OracleAccumulator acc_;
     std::vector<uint64_t> colWords_;

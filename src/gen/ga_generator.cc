@@ -115,26 +115,19 @@ genomesEqual(const std::vector<Instruction> &a_body, uint64_t a_seed,
 
 } // namespace
 
-/** Cached fitness of one unique genome. */
+/** One unique genome and the evaluations_ slot holding its result. */
 struct GaGenerator::CacheEntry
 {
     std::vector<Instruction> body;
     uint64_t dataSeed = 0;
-    double fitness = 0.0;
-    int64_t frameRef = -1;
+    size_t slot = 0;
 };
 
-/** Per-worker reusable evaluation state. */
-struct GaGenerator::EvalScratch
+/** Fitness and captured frames of one simulated genome. */
+struct GaGenerator::Evaluation
 {
+    double fitness = 0.0;
     std::vector<ActivityFrame> frames;
-    FitnessEvaluator eval;
-
-    EvalScratch(const DatasetBuilder &builder,
-                const FitnessOptions &options)
-        : eval(builder.netlist(), builder.engine(), builder.oracle(),
-               options)
-    {}
 };
 
 Status
@@ -287,28 +280,26 @@ GaGenerator::mutate(GaIndividual &ind, Xoshiro256StarStar &rng) const
     }
 }
 
-GaGenerator::EvalScratch *
-GaGenerator::acquireScratch()
+FitnessEvaluator *
+GaGenerator::acquireEvaluator()
 {
-    std::lock_guard<std::mutex> lock(scratchMutex_);
-    if (!freeScratch_.empty()) {
-        EvalScratch *s = freeScratch_.back();
-        freeScratch_.pop_back();
-        return s;
+    std::lock_guard<std::mutex> lock(evalMutex_);
+    if (!freeEvals_.empty()) {
+        FitnessEvaluator *eval = freeEvals_.back();
+        freeEvals_.pop_back();
+        return eval;
     }
-    FitnessOptions options;
-    options.signalStride = config_.fitnessSignalStride;
-    options.vectorized = config_.vectorizedFitness;
-    scratchPool_.push_back(
-        std::make_unique<EvalScratch>(builder_, options));
-    return scratchPool_.back().get();
+    evalPool_.push_back(std::make_unique<FitnessEvaluator>(
+        builder_.netlist(), builder_.engine(), builder_.oracle(),
+        config_.fitnessSignalStride));
+    return evalPool_.back().get();
 }
 
 void
-GaGenerator::releaseScratch(EvalScratch *scratch)
+GaGenerator::releaseEvaluator(FitnessEvaluator *eval)
 {
-    std::lock_guard<std::mutex> lock(scratchMutex_);
-    freeScratch_.push_back(scratch);
+    std::lock_guard<std::mutex> lock(evalMutex_);
+    freeEvals_.push_back(eval);
 }
 
 void
@@ -319,85 +310,38 @@ GaGenerator::evaluatePopulation(std::vector<GaIndividual> &population,
     const GaRunStats before = stats_;
     const size_t pop_size = population.size();
 
-    // Serial resolution pass (ascending slot): look each genome up in
-    // the cross-generation cache, then deduplicate within the
-    // generation. Counters and the miss list depend only on slot
-    // order, so they are identical at any thread count.
-    struct Resolved
-    {
-        bool fromCache = false;
-        double fitness = 0.0;
-        int64_t frameRef = -1;
-        size_t missIndex = 0;
-    };
-    std::vector<Resolved> resolved(pop_size);
+    // Serial resolution pass (ascending slot): give every individual
+    // the evaluations_ slot of its genome's result. A genome missing
+    // from the cache gets the next fresh slot and is cached at once,
+    // so a duplicate later in the same generation is a hit and the
+    // genome is evaluated once. Counters and the miss list depend only
+    // on slot order, so they are identical at any thread count.
+    const size_t base = evaluations_.size();
+    std::vector<size_t> slot_of(pop_size);
     std::vector<size_t> miss_slots;
-    std::vector<uint64_t> miss_keys;
-    std::unordered_map<uint64_t, std::vector<size_t>> scheduled;
-
     for (size_t k = 0; k < pop_size; ++k) {
         const GaIndividual &ind = population[k];
-        const uint64_t key = genomeKey(ind);
-
-        if (config_.cacheFitness) {
-            bool hit = false;
-            if (auto it = cache_.find(key); it != cache_.end()) {
-                for (const CacheEntry &entry : it->second) {
-                    if (genomesEqual(entry.body, entry.dataSeed,
-                                     ind.body, ind.dataSeed)) {
-                        resolved[k] = {true, entry.fitness,
-                                       entry.frameRef, 0};
-                        hit = true;
-                        break;
-                    }
-                }
-            }
-            if (!hit) {
-                if (auto it = scheduled.find(key);
-                    it != scheduled.end()) {
-                    for (size_t j : it->second) {
-                        const GaIndividual &first =
-                            population[miss_slots[j]];
-                        if (genomesEqual(first.body, first.dataSeed,
-                                         ind.body, ind.dataSeed)) {
-                            // Duplicate within this generation:
-                            // evaluated once, shared by both slots.
-                            resolved[k] = {false, 0.0, -1, j};
-                            stats_.cacheHits++;
-                            hit = true;
-                            break;
-                        }
-                    }
-                }
-                if (!hit) {
-                    resolved[k] = {false, 0.0, -1, miss_slots.size()};
-                    scheduled[key].push_back(miss_slots.size());
-                    miss_slots.push_back(k);
-                    miss_keys.push_back(key);
-                    stats_.cacheMisses++;
-                }
-            } else if (resolved[k].fromCache) {
-                stats_.cacheHits++;
-            }
-        } else {
-            resolved[k] = {false, 0.0, -1, miss_slots.size()};
-            miss_slots.push_back(k);
-            miss_keys.push_back(key);
-            stats_.cacheMisses++;
+        std::vector<CacheEntry> &bucket = cache_[genomeKey(ind)];
+        const auto hit = std::find_if(
+            bucket.begin(), bucket.end(), [&](const CacheEntry &entry) {
+                return genomesEqual(entry.body, entry.dataSeed, ind.body,
+                                    ind.dataSeed);
+            });
+        if (hit != bucket.end()) {
+            slot_of[k] = hit->slot;
+            stats_.cacheHits++;
+            continue;
         }
+        slot_of[k] = base + miss_slots.size();
+        bucket.push_back(CacheEntry{ind.body, ind.dataSeed, slot_of[k]});
+        miss_slots.push_back(k);
+        stats_.cacheMisses++;
     }
 
     // Parallel fitness evaluation of the unique misses. Workers share
-    // nothing but the scratch freelist; each result slot is written by
-    // exactly one worker, and no RNG is consumed.
-    struct MissResult
-    {
-        double fitness = 0.0;
-        uint64_t cycles = 0;
-        std::vector<ActivityFrame> frames;
-    };
-    std::vector<MissResult> results(miss_slots.size());
-
+    // nothing but the evaluator freelist; each evaluations_ slot is
+    // written by exactly one worker, and no RNG is consumed.
+    evaluations_.resize(base + miss_slots.size());
     ThreadPool &workers = config_.threads == 0
                               ? ThreadPool::global()
                               : (localPool_ ? *localPool_
@@ -406,59 +350,35 @@ GaGenerator::evaluatePopulation(std::vector<GaIndividual> &population,
                                                         ThreadPool>(
                                                         config_.threads)));
     workers.parallelFor(miss_slots.size(), [&](size_t j0, size_t j1) {
-        EvalScratch *scratch = acquireScratch();
+        FitnessEvaluator *eval = acquireEvaluator();
         for (size_t j = j0; j < j1; ++j) {
             const GaIndividual &ind = population[miss_slots[j]];
             const Program prog = toProgram(
                 ind, "ga",
                 fitnessIterations(ind.body.size(),
                                   config_.fitnessCycles));
-            scratch->frames.clear();
+            Evaluation &r = evaluations_[base + j];
+            r.frames.reserve(config_.fitnessCycles);
             TimingCore core(builder_.coreParams());
             core.run(prog, config_.fitnessCycles,
                      [&](const ActivityFrame &f) {
-                         scratch->frames.push_back(f);
+                         r.frames.push_back(f);
                      });
-            MissResult &r = results[j];
-            r.fitness = scratch->eval.averagePower(scratch->frames);
-            r.cycles = scratch->frames.size();
-            if (config_.captureFrames)
-                r.frames = scratch->frames;
+            r.fitness = eval->averagePower(r.frames);
         }
-        releaseScratch(scratch);
+        releaseEvaluator(eval);
     });
 
-    // Serial commit pass (miss order, then slot order): move captured
-    // frames into the pool, insert cache entries, assign fitness.
-    std::vector<int64_t> miss_frame_ref(miss_slots.size(), -1);
-    for (size_t j = 0; j < miss_slots.size(); ++j) {
-        MissResult &r = results[j];
-        stats_.evaluations++;
-        stats_.simulatedCycles += r.cycles;
-        if (config_.captureFrames) {
-            miss_frame_ref[j] =
-                static_cast<int64_t>(framePool_.size());
-            framePool_.push_back(std::move(r.frames));
-        }
-        if (config_.cacheFitness) {
-            const GaIndividual &ind = population[miss_slots[j]];
-            cache_[miss_keys[j]].push_back(CacheEntry{
-                ind.body, ind.dataSeed, r.fitness, miss_frame_ref[j]});
-        }
-    }
-
+    // Serial commit pass (miss order, then slot order).
+    stats_.evaluations += miss_slots.size();
+    for (size_t j = base; j < evaluations_.size(); ++j)
+        stats_.simulatedCycles += evaluations_[j].frames.size();
     for (size_t k = 0; k < pop_size; ++k) {
         GaIndividual &ind = population[k];
         ind.generation = generation;
-        if (resolved[k].fromCache) {
-            ind.avgPower = resolved[k].fitness;
-            frameRefOf_.push_back(resolved[k].frameRef);
-        } else {
-            const size_t j = resolved[k].missIndex;
-            ind.avgPower = results[j].fitness;
-            frameRefOf_.push_back(miss_frame_ref[j]);
-        }
+        ind.avgPower = evaluations_[slot_of[k]].fitness;
         ind.id = all_.size();
+        slotOf_.push_back(slot_of[k]);
         all_.push_back(ind);
     }
 
@@ -472,15 +392,15 @@ GaGenerator::evaluatePopulation(std::vector<GaIndividual> &population,
     APOLLO_COUNT("apollo.ga.simulated_cycles",
                  stats_.simulatedCycles - before.simulatedCycles);
     APOLLO_GAUGE_SET("apollo.ga.frame_pool",
-                     static_cast<double>(framePool_.size()));
+                     static_cast<double>(evaluations_.size()));
 }
 
 void
 GaGenerator::run()
 {
     all_.clear();
-    frameRefOf_.clear();
-    framePool_.clear();
+    slotOf_.clear();
+    evaluations_.clear();
     cache_.clear();
     stats_ = GaRunStats{};
 
@@ -544,11 +464,8 @@ GaGenerator::run()
 std::span<const ActivityFrame>
 GaGenerator::capturedFrames(size_t id) const
 {
-    APOLLO_REQUIRE(id < frameRefOf_.size(), "unknown individual id");
-    const int64_t ref = frameRefOf_[id];
-    if (ref < 0)
-        return {};
-    return framePool_[static_cast<size_t>(ref)];
+    APOLLO_REQUIRE(id < slotOf_.size(), "unknown individual id");
+    return evaluations_[slotOf_[id]].frames;
 }
 
 const GaIndividual &

@@ -18,14 +18,18 @@
  *    evaluation consumes no RNG, so the GA trajectory is bit-identical
  *    at any thread count;
  *  - fitness simulations of one generation run concurrently on a
- *    thread pool, with per-worker scratch (core frames, toggle
- *    columns, accumulators) reused across generations;
+ *    thread pool, with per-worker evaluators (toggle columns,
+ *    accumulators) reused across generations;
  *  - a genome-keyed fitness cache skips re-simulation of duplicate
  *    genomes (elites and converged populations), with deterministic
  *    hit/miss counters;
  *  - each unique genome's activity frames are captured during its
  *    fitness simulation, so dataset export can reuse them instead of
  *    re-simulating (flow/flows.hh generateTrainingSet).
+ *
+ * The pipeline has one configuration (only the worker count varies),
+ * and every recorded avgPower equals ref::fitnessAveragePower over the
+ * individual's captured frames.
  */
 
 #ifndef APOLLO_GEN_GA_GENERATOR_HH
@@ -46,6 +50,8 @@
 
 namespace apollo {
 
+class FitnessEvaluator;
+
 /** GA hyper-parameters. */
 struct GaConfig
 {
@@ -65,12 +71,6 @@ struct GaConfig
 
     /** Fitness-evaluation worker threads (0 = hardware concurrency). */
     uint32_t threads = 0;
-    /** Memoize fitness by genome across generations. */
-    bool cacheFitness = true;
-    /** Keep each unique genome's frames for single-pass export. */
-    bool captureFrames = true;
-    /** Use the batched column / bit-kernel fitness path. */
-    bool vectorizedFitness = true;
 
     /**
      * Check the configuration; returns InvalidArgument for
@@ -145,8 +145,7 @@ class GaGenerator
 
     /**
      * Frames captured during the fitness simulation of all()[id]
-     * (shared between duplicate genomes). Empty when captureFrames is
-     * off.
+     * (shared between duplicate genomes).
      */
     std::span<const ActivityFrame> capturedFrames(size_t id) const;
 
@@ -174,8 +173,8 @@ class GaGenerator
                                                uint32_t max_len);
 
   private:
-    struct EvalScratch;
     struct CacheEntry;
+    struct Evaluation;
 
     Xoshiro256StarStar slotStream(uint32_t generation,
                                   uint32_t slot) const;
@@ -187,22 +186,25 @@ class GaGenerator
         const std::vector<GaIndividual> &pop,
         Xoshiro256StarStar &rng) const;
     void mutate(GaIndividual &ind, Xoshiro256StarStar &rng) const;
-    EvalScratch *acquireScratch();
-    void releaseScratch(EvalScratch *scratch);
+    FitnessEvaluator *acquireEvaluator();
+    void releaseEvaluator(FitnessEvaluator *eval);
 
     const DatasetBuilder &builder_;
     GaConfig config_;
     std::vector<GaIndividual> all_;
     GaRunStats stats_;
-    /** all_ index -> captured-frame pool slot (-1 when not captured). */
-    std::vector<int64_t> frameRefOf_;
-    std::vector<std::vector<ActivityFrame>> framePool_;
+    /** One slot per unique genome simulated in this run. */
+    std::vector<Evaluation> evaluations_;
+    /** all_ index -> evaluations_ slot (shared by duplicate genomes). */
+    std::vector<size_t> slotOf_;
     /** Genome fitness cache; bucket vectors absorb key collisions. */
     std::unordered_map<uint64_t, std::vector<CacheEntry>> cache_;
-    std::vector<std::unique_ptr<EvalScratch>> scratchPool_;
-    std::vector<EvalScratch *> freeScratch_;
+    /** Per-worker evaluators, reused across generations. */
+    std::vector<std::unique_ptr<FitnessEvaluator>> evalPool_;
+    std::vector<FitnessEvaluator *> freeEvals_;
+    /** Guards evalPool_ and freeEvals_. */
+    std::mutex evalMutex_;
     std::unique_ptr<class ThreadPool> localPool_;
-    std::mutex scratchMutex_;
 };
 
 } // namespace apollo

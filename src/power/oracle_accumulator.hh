@@ -1,8 +1,8 @@
 /**
  * @file
  * OracleAccumulator: vectorized per-cycle ground-truth power
- * accumulation over packed toggle columns — the bit-kernel replacement
- * for the scalar per-signal loop of the GA fitness path.
+ * accumulation over packed toggle columns — the power half of the GA
+ * fitness kernel (gen/fitness_eval.hh).
  *
  * The oracle's per-toggle contribution decomposes per signal j into a
  * static part and an activity-scaled glitch part:
@@ -23,8 +23,9 @@
  * combine base + sum over ascending units of act * glitch, then
  * PowerOracle::finalize. The axpy kernel contract (exactly one float
  * add per set bit on every dispatch path) makes the result bit-exact
- * against a scalar transcription of the same order — the src/ref
- * oracle of the differential harness.
+ * against a per-cycle transcription of the same order,
+ * ref::fitnessCyclePowers — the only other implementation, kept in
+ * src/ref as the differential oracle.
  */
 
 #ifndef APOLLO_POWER_ORACLE_ACCUMULATOR_HH
@@ -60,10 +61,6 @@ class OracleAccumulator
      */
     void finish(std::span<const ActivityFrame> frames, double scale,
                 std::vector<double> &out) const;
-
-    /** Static per-signal weights (shared with the scalar fallback). */
-    float baseWeight(uint32_t sig_id) const { return baseW_[sig_id]; }
-    float glitchWeight(uint32_t sig_id) const { return glitchW_[sig_id]; }
 
   private:
     const Netlist &netlist_;

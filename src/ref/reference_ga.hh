@@ -60,8 +60,8 @@ Dataset datasetBuild(const Netlist &netlist, const ActivityEngine &engine,
  * combined in double over ascending units with the unit activity
  * factors, scaled by the stride, then PowerOracle::finalize. Weights
  * are recomputed here from the Signal fields and oracle parameters.
- * Bit-exact oracle for FitnessEvaluator::cyclePowers (both the
- * vectorized and the scalar production paths).
+ * Bit-exact oracle for FitnessEvaluator::cyclePowers, and the
+ * baseline bench_perf_ga times the GA pipeline against.
  */
 std::vector<double> fitnessCyclePowers(
     const Netlist &netlist, const ActivityEngine &engine,

@@ -421,8 +421,7 @@ SessionManager::processSession(size_t slot)
         session.sums.windowPhase0 =
             window_T ? static_cast<uint32_t>(chunk.firstCycle % window_T)
                      : 0;
-        session.pipe->computeSums(chunk.bits, chunk.bits.rows(),
-                                  session.sums);
+        session.pipe->computeSums(chunk.bits, session.sums);
         Status sunk = session.pipe->emit(session.sums, *session.sink);
         const uint64_t emitted = session.pipe->outputs() - before;
         if (emitted > 0) {

@@ -76,8 +76,10 @@ class ProxyChunkReader
 
     /**
      * Produce the next chunk with 1..max_rows rows, or 0 rows at end
-     * of trace. Chunks are consecutive: the next chunk's firstCycle is
-     * this chunk's firstCycle + rows().
+     * of trace; the returned count must equal chunk.rows()
+     * (StreamingInference::run rejects a mismatch). Chunks are
+     * consecutive: the next chunk's firstCycle is this chunk's
+     * firstCycle + rows().
      */
     virtual StatusOr<size_t> next(size_t max_rows, ProxyChunk &chunk) = 0;
 

@@ -129,9 +129,7 @@ DatasetBuilder::averagePower(const Program &prog, uint64_t max_cycles,
     std::vector<ActivityFrame> frames;
     core.run(prog, max_cycles,
              [&](const ActivityFrame &f) { frames.push_back(f); });
-    FitnessOptions options;
-    options.signalStride = signal_stride;
-    FitnessEvaluator eval(netlist_, engine_, oracle_, options);
+    FitnessEvaluator eval(netlist_, engine_, oracle_, signal_stride);
     return eval.averagePower(frames);
 }
 

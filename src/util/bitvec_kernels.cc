@@ -1,7 +1,8 @@
 #include "util/bitvec_kernels.hh"
 
 #include <bit>
-#include <cstdlib>
+
+#include "util/kernel_env.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define APOLLO_HAVE_AVX512_KERNELS 1
@@ -260,9 +261,8 @@ bool
 detectAvx512()
 {
 #ifdef APOLLO_HAVE_AVX512_KERNELS
-    if (const char *env = std::getenv("APOLLO_NO_AVX512"))
-        if (env[0] != '\0' && env[0] != '0')
-            return false;
+    if (kernelOverrideSet("APOLLO_NO_AVX512"))
+        return false;
     return __builtin_cpu_supports("avx512f") &&
            __builtin_cpu_supports("avx512bw") &&
            __builtin_cpu_supports("avx512dq") &&

@@ -13,9 +13,10 @@
  *    word by popcount.
  *
  * The dispatch pointers resolve once at static initialization from
- * __builtin_cpu_supports (overridable with APOLLO_NO_AVX512=1 for
- * debugging/regression runs). Both implementations are exported so
- * tests can compare them on any machine.
+ * __builtin_cpu_supports; APOLLO_NO_AVX512 turns the AVX-512 kernels
+ * off for debugging/regression runs, under the shared override rule
+ * of util/kernel_env.hh. Both implementations are exported so tests
+ * can compare them on any machine.
  *
  * Contract shared by all kernels: bits at positions >= nrows in the
  * last word are zero (BitColumnMatrix maintains this), so the vector

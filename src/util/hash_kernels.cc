@@ -1,7 +1,6 @@
 #include "util/hash_kernels.hh"
 
-#include <cstdlib>
-
+#include "util/kernel_env.hh"
 #include "util/rng.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -81,8 +80,7 @@ bool
 detectAvx512()
 {
 #ifdef APOLLO_HAVE_AVX512_HASH
-    const char *off = std::getenv("APOLLO_NO_AVX512");
-    if (off && off[0] == '1')
+    if (kernelOverrideSet("APOLLO_NO_AVX512"))
         return false;
     return __builtin_cpu_supports("avx512f") &&
            __builtin_cpu_supports("avx512dq");

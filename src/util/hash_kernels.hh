@@ -15,7 +15,8 @@
  * exact on every path, the u64 -> float conversion of a value < 2^24 is
  * exact, and the final scale is a power of two. Dispatch mirrors
  * util/bitvec_kernels: resolved once at static initialization from
- * __builtin_cpu_supports, overridable with APOLLO_NO_AVX512=1.
+ * __builtin_cpu_supports, and turned off by APOLLO_NO_AVX512 under
+ * the shared override rule of util/kernel_env.hh.
  */
 
 #ifndef APOLLO_UTIL_HASH_KERNELS_HH

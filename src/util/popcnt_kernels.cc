@@ -1,8 +1,8 @@
 #include "util/popcnt_kernels.hh"
 
 #include <bit>
-#include <cstdlib>
 
+#include "util/kernel_env.hh"
 #include "util/logging.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -359,20 +359,13 @@ cpuHasAvx512Vpopcntdq()
 
 #endif // APOLLO_HAVE_X86_POPCNT_KERNELS
 
-bool
-envDisabled(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v && v[0] != '\0' && v[0] != '0';
-}
-
 Impl
 detectBestImpl()
 {
 #if APOLLO_HAVE_X86_POPCNT_KERNELS
-    if (!envDisabled("APOLLO_NO_AVX512") && cpuHasAvx512Vpopcntdq())
+    if (!kernelOverrideSet("APOLLO_NO_AVX512") && cpuHasAvx512Vpopcntdq())
         return Impl::Avx512;
-    if (!envDisabled("APOLLO_NO_AVX2") && cpuHasAvx2Popcnt())
+    if (!kernelOverrideSet("APOLLO_NO_AVX2") && cpuHasAvx2Popcnt())
         return Impl::Avx2;
 #endif
     return Impl::Scalar;

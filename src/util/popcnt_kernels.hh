@@ -22,10 +22,11 @@
  * zero. countRange() masks its own edges and is safe regardless.
  *
  * Dispatch: kernels() returns the best table the CPU supports,
- * detected once per process. APOLLO_NO_AVX512 (nonzero) hides the
- * AVX-512 table, APOLLO_NO_AVX2 hides AVX2 as well — same convention
- * as util/bitvec_kernels.hh. Per-implementation tables stay reachable
- * through implKernels() for the bench ablation and equivalence tests.
+ * detected once per process. APOLLO_NO_AVX512 hides the AVX-512
+ * table, APOLLO_NO_AVX2 hides AVX2 as well — the override rule of
+ * util/kernel_env.hh that every kernel family shares.
+ * Per-implementation tables stay reachable through implKernels() for
+ * the bench ablation and equivalence tests.
  */
 
 #ifndef APOLLO_UTIL_POPCNT_KERNELS_HH

@@ -667,7 +667,7 @@ makeGaRunCase(uint64_t seed)
 {
     Xoshiro256StarStar rng(hashMix(seed ^ 0x6a3));
     GaRunCase c;
-    const uint64_t shape = hashMix(seed ^ 0x6a4) % 9;
+    const uint64_t shape = hashMix(seed ^ 0x6a4) % 6;
 
     c.netlist = miniDesign(rng);
     c.coreParams = CoreParams::defaults();
@@ -702,23 +702,11 @@ makeGaRunCase(uint64_t seed)
         ga.tournamentSize = 1;
         break;
       case 3:
-        c.shape = "uncached";
-        ga.cacheFitness = false;
-        break;
-      case 4:
-        c.shape = "no-capture";
-        ga.captureFrames = false;
-        break;
-      case 5:
-        c.shape = "scalar-fitness";
-        ga.vectorizedFitness = false;
-        break;
-      case 6:
         c.shape = "stride-gt-m";
         ga.fitnessSignalStride =
             static_cast<uint32_t>(c.netlist.signalCount()) + 5;
         break;
-      case 7: {
+      case 4: {
         c.shape = "invalid-config";
         c.expectError = true;
         switch (rng.nextBounded(4)) {

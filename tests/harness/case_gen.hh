@@ -175,9 +175,9 @@ DatasetBuildCase makeDatasetBuildCase(uint64_t seed);
  * A generated GA-run case: a miniature design plus a full GaConfig
  * (small budgets) and core parameters with a short warm-up. Shape
  * classes cover duplicate-heavy populations (zero mutation/crossover,
- * near-full elitism), the minimal population, disabled cache/capture/
- * vectorization, multiple thread counts, stride > signal count, and
- * invalid configurations (expectError set — validate() must reject).
+ * near-full elitism), the minimal population, multiple thread counts
+ * (including the global pool), stride > signal count, and invalid
+ * configurations (expectError set — validate() must reject).
  */
 struct GaRunCase
 {

@@ -1091,23 +1091,16 @@ runFitnessPower(uint64_t seed)
     const double want_avg = ref::fitnessAveragePower(
         c.netlist, engine, oracle, c.frames, c.stride);
 
-    for (const bool vectorized : {true, false}) {
-        FitnessOptions options;
-        options.signalStride = c.stride;
-        options.vectorized = vectorized;
-        FitnessEvaluator eval(c.netlist, engine, oracle, options);
-        std::vector<double> prod;
-        eval.cyclePowers(c.frames, prod);
-        const std::string shape =
-            c.shape + (vectorized ? "+vec" : "+scalar") +
-            fmt("+stride=%u", c.stride);
-        if (auto d = compareExactD(prod, want, shape))
-            return d;
-        const double avg = eval.averagePower(c.frames);
-        if (avg != want_avg || std::isnan(avg))
-            return fmt("shape=%s: average prod=%a ref=%a",
-                       shape.c_str(), avg, want_avg);
-    }
+    FitnessEvaluator eval(c.netlist, engine, oracle, c.stride);
+    std::vector<double> prod;
+    eval.cyclePowers(c.frames, prod);
+    const std::string shape = c.shape + fmt("+stride=%u", c.stride);
+    if (auto d = compareExactD(prod, want, shape))
+        return d;
+    const double avg = eval.averagePower(c.frames);
+    if (avg != want_avg || std::isnan(avg))
+        return fmt("shape=%s: average prod=%a ref=%a", shape.c_str(),
+                   avg, want_avg);
     return std::nullopt;
 }
 
@@ -1178,27 +1171,19 @@ runGaPipeline(uint64_t seed)
 
         const std::span<const ActivityFrame> captured =
             ga.capturedFrames(ind.id);
-        if (!c.ga.captureFrames) {
-            if (!captured.empty())
-                return fmt("shape=%s: frames captured with capture off",
-                           shape.c_str());
-        } else {
-            if (captured.size() != frames.size())
-                return fmt("shape=%s: individual %zu: captured %zu "
-                           "frames, re-sim %zu",
-                           shape.c_str(), k, captured.size(),
-                           frames.size());
-            for (size_t i = 0; i < frames.size(); ++i) {
-                const ActivityFrame &a = captured[i];
-                const ActivityFrame &b = frames[i];
-                if (a.cycle != b.cycle ||
-                    a.activity != b.activity ||
-                    a.clockEnabled != b.clockEnabled ||
-                    a.dataToggle != b.dataToggle)
-                    return fmt("shape=%s: individual %zu: captured "
-                               "frame %zu differs from re-sim",
-                               shape.c_str(), k, i);
-            }
+        if (captured.size() != frames.size())
+            return fmt("shape=%s: individual %zu: captured %zu frames, "
+                       "re-sim %zu",
+                       shape.c_str(), k, captured.size(), frames.size());
+        for (size_t i = 0; i < frames.size(); ++i) {
+            const ActivityFrame &a = captured[i];
+            const ActivityFrame &b = frames[i];
+            if (a.cycle != b.cycle || a.activity != b.activity ||
+                a.clockEnabled != b.clockEnabled ||
+                a.dataToggle != b.dataToggle)
+                return fmt("shape=%s: individual %zu: captured frame "
+                           "%zu differs from re-sim",
+                           shape.c_str(), k, i);
         }
     }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <sstream>
 
@@ -16,6 +18,7 @@
 #include "ml/metrics.hh"
 #include "rtl/design_builder.hh"
 #include "trace/toggle_trace.hh"
+#include "util/logging.hh"
 
 namespace apollo {
 namespace {
@@ -168,6 +171,34 @@ TEST(ApolloModel, SaveLoadRoundTrip)
     ASSERT_EQ(loaded.weights.size(), res.model.weights.size());
     for (size_t q = 0; q < loaded.weights.size(); ++q)
         EXPECT_FLOAT_EQ(loaded.weights[q], res.model.weights[q]);
+}
+
+long
+peakRssKiB()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(ApolloModel, LoadReadsNoMoreThanTheFileHolds)
+{
+    // A 34-byte file may declare any proxy count; load must fail as
+    // truncated without allocating for it (50M proxies would take
+    // ~384 MiB, and 2^62 exceeds vector::max_size).
+    const long before = peakRssKiB();
+    for (const char *count : {"50000000", "4611686018427387904"}) {
+        std::istringstream is(std::string("apollo-model 1\nd\n") + count +
+                              " 0\n1 0.5\n");
+        EXPECT_THROW(ApolloModel::load(is), FatalError) << count;
+    }
+    EXPECT_LT(peakRssKiB() - before, 64 * 1024);
+}
+
+TEST(ApolloModel, LoadRejectsDuplicateProxyIds)
+{
+    std::istringstream is("apollo-model 1\nd\n2 0\n3 0.25\n3 0.5\n");
+    EXPECT_THROW(ApolloModel::load(is), FatalError);
 }
 
 TEST(RelaxProxySet, WorksOnArbitrarySets)

@@ -544,7 +544,7 @@ TEST(ServeCancel, PipelineEmitResetsPartialWindowOnCancel)
 
     const BitColumnMatrix first = randomMatrix(6, q, 0x72); // 1.5 windows
     ChunkSums sums;
-    pipe.computeSums(first, first.rows(), sums);
+    pipe.computeSums(first, sums);
     CallbackSink cancelling([](uint64_t, std::span<const float>) {
         return Status::cancelled("stop");
     });
@@ -552,13 +552,13 @@ TEST(ServeCancel, PipelineEmitResetsPartialWindowOnCancel)
 
     // The next full window must depend only on its own cycles.
     const BitColumnMatrix second = randomMatrix(4, q, 0x73);
-    pipe.computeSums(second, second.rows(), sums);
+    pipe.computeSums(second, sums);
     VectorSink clean;
     ASSERT_TRUE(pipe.emit(sums, clean).ok());
 
     StreamPipeline fresh(model, 4);
     ChunkSums fresh_sums;
-    fresh.computeSums(second, second.rows(), fresh_sums);
+    fresh.computeSums(second, fresh_sums);
     VectorSink reference;
     ASSERT_TRUE(fresh.emit(fresh_sums, reference).ok());
     ASSERT_EQ(clean.values().size(), 1u);

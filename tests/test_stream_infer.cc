@@ -206,6 +206,51 @@ TEST(StreamInfer, ConfigAndArityErrors)
     EXPECT_EQ(arity.status().code(), StatusCode::InvalidArgument);
 }
 
+/** Fills 128-row chunks but reports half the rows it filled. */
+class UnderreportingReader : public ProxyChunkReader
+{
+  public:
+    explicit UnderreportingReader(const BitColumnMatrix &Xq) : Xq_(Xq) {}
+
+    size_t proxyCount() const override { return Xq_.cols(); }
+
+    StatusOr<size_t>
+    next(size_t, ProxyChunk &chunk) override
+    {
+        const size_t n = std::min<size_t>(128, Xq_.rows() - pos_);
+        chunk.firstCycle = pos_;
+        Xq_.sliceRowsInto(pos_, n, chunk.bits);
+        pos_ += n;
+        return n / 2;
+    }
+
+  private:
+    const BitColumnMatrix &Xq_;
+    size_t pos_ = 0;
+};
+
+TEST(StreamInfer, RejectsReaderRowCountMismatch)
+{
+    // Sized from the reported count, the windowed float sums of such
+    // a chunk were written past their end.
+    const BitColumnMatrix Xq = randomMatrix(512, 8, 0x8E);
+    const ApolloModel model = randomModel(8, 0x9F);
+    const StreamingInference float_engine(model);
+    const StreamingInference q_engine(quantizeModel(model, 10), 4);
+    for (const uint32_t T : {4u, 0u}) {
+        for (const StreamingInference *engine : {&float_engine, &q_engine}) {
+            UnderreportingReader reader(Xq);
+            VectorSink sink;
+            StatusOr<StreamStats> stats = engine->run(
+                reader, sink,
+                StreamConfig().withChunkCycles(128).withWindowT(T));
+            ASSERT_FALSE(stats.ok())
+                << "T=" << T << " quantized=" << (engine == &q_engine);
+            EXPECT_EQ(stats.status().code(), StatusCode::InvalidArgument);
+        }
+    }
+}
+
 TEST(StreamSinks, CallbackCancelStopsGracefully)
 {
     const size_t n = 4096, q = 10;

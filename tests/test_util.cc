@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for src/util: RNG determinism, packed bit containers,
- * thread pool, table rendering, running stats.
+ * thread pool, table rendering, running stats, kernel dispatch
+ * overrides.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
 
 #include "util/bitvec.hh"
+#include "util/bitvec_kernels.hh"
+#include "util/hash_kernels.hh"
+#include "util/kernel_env.hh"
 #include "util/logging.hh"
+#include "util/popcnt_kernels.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
@@ -208,6 +214,35 @@ TEST(RunningStats, MeanVarMinMax)
     EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
     EXPECT_DOUBLE_EQ(s.min(), 1.0);
     EXPECT_DOUBLE_EQ(s.max(), 4.0);
+}
+
+TEST(KernelDispatch, OverrideRuleTreatsNonzeroValuesAsSet)
+{
+    const char *var = "APOLLO_TEST_KERNEL_OVERRIDE";
+    unsetenv(var);
+    EXPECT_FALSE(kernelOverrideSet(var));
+    for (const char *value : {"", "0", "00"}) {
+        setenv(var, value, 1);
+        EXPECT_FALSE(kernelOverrideSet(var)) << '"' << value << '"';
+    }
+    for (const char *value : {"1", "yes", "true", "2"}) {
+        setenv(var, value, 1);
+        EXPECT_TRUE(kernelOverrideSet(var)) << '"' << value << '"';
+    }
+    unsetenv(var);
+}
+
+TEST(KernelDispatch, Avx512OverrideReachesEveryKernelFamily)
+{
+    // Dispatch resolves once per process, so only a run started with
+    // the override set can check it: the dispatch.no_avx512_yes ctest
+    // sets APOLLO_NO_AVX512=yes. Without the override there is nothing
+    // to check.
+    if (!kernelOverrideSet("APOLLO_NO_AVX512"))
+        return;
+    EXPECT_FALSE(bitkernels::avx512Enabled());
+    EXPECT_FALSE(hashkernels::avx512Enabled());
+    EXPECT_NE(popkernels::bestImpl(), popkernels::Impl::Avx512);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
 # Regenerate the perf trajectories at the repo root:
 #   BENCH_solver.json  — MCP solver fast-path layers
 #   BENCH_stream.json  — streaming pipeline vs batch (throughput + RSS)
-#   BENCH_ga.json      — GA training-data pipeline layers
+#   BENCH_ga.json      — GA training-data pipeline (threads=1 and
+#                        hardware threads) vs the src/ref fitness pass
 #   BENCH_serve.json   — multi-session serving grid (sessions x threads)
 #   BENCH_control.json — closed-loop droop-mitigation lab Pareto sweep
 # Usage: tools/run_benches.sh [--smoke] [extra bench args...]
