@@ -15,6 +15,14 @@
  * uncached serial seed pipeline without its core simulation, so the
  * gate below is no weaker than one against the seed pipeline itself.
  *
+ * A toggle-kernel ablation then times ToggleColumnGenerator::fillColumn
+ * on one thread for each fused kernel implementation the host can run
+ * (portable, and avx512; activity/toggle_kernels.hh) over every N1ish
+ * signal and the rows of a phase_mix program (4,000 in full mode), in
+ * two shapes: one whole-window bind (the truth-power shape) and 64-row
+ * binds (the export shape). It reports ns per toggle bit, and the
+ * time of one whole-window stride-1 FitnessEvaluator::cyclePowers.
+ *
  * Gates (exit 1 with a FAIL: line):
  *  (a) both rows produce the same per-generation best/worst fitness
  *      and byte-identical exported datasets, equal to the production
@@ -27,13 +35,14 @@
  *      full mode, 1x in smoke mode). ga_seconds covers the GA run plus
  *      training selection; the best row is `all` on a multicore host
  *      and `serial` on a single-core one, where `all` only adds pool
- *      overhead.
+ *      overhead;
+ *  (d) in both ablation shapes, every implementation's columns equal
+ *      the dispatched implementation's word for word (smoke mode
+ *      too).
  *
  * Dataset materialization (DatasetBuilder::build: every signal's
  * toggle columns, then the oracle label pass) is reported but not
- * gated; in the traced bench/e2e train_n1 run on a 4-vCPU host it took
- * 0.22 s of a 1.84 s model build, next to 0.57 s of GA and 0.92 s of
- * proxy selection. Results go to BENCH_ga.json.
+ * gated. Results go to BENCH_ga.json.
  *
  * Usage: bench_perf_ga [--smoke] [--reps=N] [--out=PATH]
  * (--smoke: fast-mode budgets + relaxed timing floor; used by the
@@ -48,7 +57,9 @@
 #include <string>
 #include <vector>
 
+#include "activity/toggle_columns.hh"
 #include "common.hh"
+#include "gen/fitness_eval.hh"
 #include "ref/reference_ga.hh"
 
 using namespace apollo;
@@ -238,12 +249,124 @@ runPipeline(const char *name, uint32_t threads, const Netlist &netlist,
     return result;
 }
 
+/** One fused toggle kernel's ablation timings (best of the reps). */
+struct KernelRun
+{
+    togglekernels::Impl impl = togglekernels::Impl::Portable;
+    double windowNsPerBit = 1e300;
+    double blockNsPerBit = 1e300;
+    /** Both shapes equal the dispatched kernel's, word for word. */
+    bool matchesDispatched = true;
+};
+
+struct KernelAblation
+{
+    size_t rows = 0;
+    size_t signals = 0;
+    std::vector<KernelRun> runs;
+    double cyclePowersSeconds = 1e300;
+
+    bool identical() const
+    {
+        for (const KernelRun &r : runs)
+            if (!r.matchesDispatched)
+                return false;
+        return !runs.empty();
+    }
+};
+
+/**
+ * Every signal's column over @p frames with @p impl, column-major
+ * (wordsPerCol words each): one whole-window bind, or one bind per
+ * 64-row block. Returns the seconds the fills took.
+ */
+double
+fillAllColumns(const ActivityEngine &engine,
+               std::span<const ActivityFrame> frames, size_t signals,
+               togglekernels::Impl impl, bool blocks,
+               std::vector<uint64_t> &cols)
+{
+    const size_t n = frames.size();
+    const size_t words = (n + 63) / 64;
+    cols.assign(signals * words, 0);
+    ToggleColumnGenerator gen(engine, impl);
+    const auto t0 = Clock::now();
+    const size_t block = blocks ? 64 : n;
+    for (size_t row0 = 0; row0 < n; row0 += block) {
+        gen.bind(frames, {}, row0, std::min(block, n - row0));
+        for (size_t s = 0; s < signals; ++s)
+            gen.fillColumn(static_cast<uint32_t>(s),
+                           cols.data() + s * words + row0 / 64);
+    }
+    return secondsBetween(t0, Clock::now());
+}
+
+/**
+ * The toggle-kernel ablation on one thread: phase_mix frames on
+ * @p netlist, every signal, each available implementation in both
+ * shapes, checked against the dispatched implementation.
+ */
+KernelAblation
+runKernelAblation(const Netlist &netlist, size_t rows, int reps)
+{
+    DatasetBuilder builder(netlist);
+    builder.addProgram(makeLongWorkload("phase_mix", rows, 0xd2), rows);
+    const std::span<const ActivityFrame> frames = builder.frames();
+    const ActivityEngine &engine = builder.engine();
+
+    KernelAblation abl;
+    abl.rows = frames.size();
+    abl.signals = netlist.signalCount();
+    const double bits = static_cast<double>(abl.rows) *
+                        static_cast<double>(abl.signals);
+
+    std::vector<uint64_t> want_window, want_blocks, got;
+    fillAllColumns(engine, frames, abl.signals, togglekernels::bestImpl(),
+                   false, want_window);
+    fillAllColumns(engine, frames, abl.signals, togglekernels::bestImpl(),
+                   true, want_blocks);
+    for (int i = 0; i < togglekernels::kImplCount; ++i) {
+        const auto impl = static_cast<togglekernels::Impl>(i);
+        if (!togglekernels::implAvailable(impl))
+            continue;
+        KernelRun run;
+        run.impl = impl;
+        for (int rep = 0; rep < reps; ++rep) {
+            run.windowNsPerBit = std::min(
+                run.windowNsPerBit,
+                1e9 * fillAllColumns(engine, frames, abl.signals, impl,
+                                     false, got) / bits);
+            run.matchesDispatched =
+                run.matchesDispatched && got == want_window;
+            run.blockNsPerBit = std::min(
+                run.blockNsPerBit,
+                1e9 * fillAllColumns(engine, frames, abl.signals, impl,
+                                     true, got) / bits);
+            run.matchesDispatched =
+                run.matchesDispatched && got == want_blocks;
+        }
+        abl.runs.push_back(run);
+    }
+
+    FitnessEvaluator eval(netlist, engine, builder.oracle());
+    std::vector<double> powers;
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = Clock::now();
+        eval.cyclePowers(frames, powers);
+        abl.cyclePowersSeconds =
+            std::min(abl.cyclePowersSeconds,
+                     secondsBetween(t0, Clock::now()));
+    }
+    return abl;
+}
+
 void
 writeJson(const std::string &path, const char *mode,
           const GaConfig &cfg, const TrainExportBudget &budget,
           const std::vector<PipelineRun> &runs,
           const ReferenceResult &ref_run, double best_ga_seconds,
-          bool production_match, const std::string &obs_json)
+          bool production_match, const KernelAblation &abl,
+          const std::string &obs_json)
 {
     std::ofstream os(path);
     os << "{\n";
@@ -283,6 +406,24 @@ writeJson(const std::string &path, const char *mode,
        << ", \"captured_frame_mismatches\": " << ref_run.frameMismatches
        << ", \"avg_power_mismatches\": " << ref_run.mismatches
        << "},\n";
+    const double bits = static_cast<double>(abl.rows) *
+                        static_cast<double>(abl.signals);
+    os << "  \"toggle_kernels\": {\"rows\": " << abl.rows
+       << ", \"signals\": " << abl.signals << ", \"dispatched\": \""
+       << togglekernels::implName(togglekernels::bestImpl())
+       << "\", \"impls\": [";
+    for (size_t i = 0; i < abl.runs.size(); ++i) {
+        const KernelRun &r = abl.runs[i];
+        os << (i ? ", " : "") << "{\"name\": \""
+           << togglekernels::implName(r.impl)
+           << "\", \"window_ns_per_bit\": " << r.windowNsPerBit
+           << ", \"block64_ns_per_bit\": " << r.blockNsPerBit
+           << ", \"matches_dispatched\": "
+           << (r.matchesDispatched ? "true" : "false") << "}";
+    }
+    os << "], \"cycle_powers_seconds\": " << abl.cyclePowersSeconds
+       << ", \"cycle_powers_ns_per_bit\": "
+       << 1e9 * abl.cyclePowersSeconds / bits << "},\n";
     os << "  \"obs\": " << obs_json << ",\n";
     os << "  \"dataset_matches_production_pipeline\": "
        << (production_match ? "true" : "false") << ",\n";
@@ -384,8 +525,26 @@ main(int argc, char **argv)
     const double speedup = ref_run.seconds / best_ga;
     std::printf("GA speedup (reference fitness vs best GA run): %.2fx\n",
                 speedup);
+
+    // The obs delta covers the pipeline runs, not the ablation.
+    const std::string obs_json = obsDeltaJson(obs_before);
+    const KernelAblation abl =
+        runKernelAblation(netlist, smoke ? 1000 : 4000, reps);
+    std::printf("toggle kernels: %zu signals x %zu phase_mix rows, one "
+                "thread, dispatched %s\n",
+                abl.signals, abl.rows,
+                togglekernels::implName(togglekernels::bestImpl()));
+    for (const KernelRun &r : abl.runs)
+        std::printf("  %-8s window %.3f ns/bit  64-row blocks %.3f "
+                    "ns/bit%s\n",
+                    togglekernels::implName(r.impl), r.windowNsPerBit,
+                    r.blockNsPerBit,
+                    r.matchesDispatched ? "" : "  COLUMN MISMATCH");
+    std::printf("  cyclePowers (stride 1, whole window): %.3fs\n",
+                abl.cyclePowersSeconds);
+
     writeJson(out, smoke ? "smoke" : "full", base, budget, runs, ref_run,
-              best_ga, production_match, obsDeltaJson(obs_before));
+              best_ga, production_match, abl, obs_json);
     std::printf("wrote %s\n", out.c_str());
 
     bool identical = production_match;
@@ -406,6 +565,12 @@ main(int argc, char **argv)
                      "from ref::fitnessAveragePower\n",
                      ref_run.windows, ref_run.frameMismatches,
                      ref_run.mismatches);
+        return 1;
+    }
+    if (!abl.identical()) {
+        std::fprintf(stderr,
+                     "FAIL: a toggle kernel's columns differ from the "
+                     "dispatched kernel's\n");
         return 1;
     }
     // Timing gate: generous in smoke mode (shared CI machines), the

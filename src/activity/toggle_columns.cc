@@ -1,9 +1,7 @@
 #include "activity/toggle_columns.hh"
 
 #include <algorithm>
-#include <cstring>
 
-#include "util/hash_kernels.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -28,8 +26,9 @@ requireSegmentTable(std::span<const uint32_t> segment_begin_of,
     }
 }
 
-ToggleColumnGenerator::ToggleColumnGenerator(const ActivityEngine &engine)
-    : engine_(engine)
+ToggleColumnGenerator::ToggleColumnGenerator(const ActivityEngine &engine,
+                                             togglekernels::Impl impl)
+    : engine_(engine), fill_(togglekernels::implFill(impl))
 {
     const Netlist &netlist = engine.netlist();
     for (size_t s = 0; s < netlist.signalCount(); ++s)
@@ -45,15 +44,17 @@ ToggleColumnGenerator::bind(std::span<const ActivityFrame> frames,
     requireSegmentTable(segment_begin_of, frames.size(), first, count);
     n_ = count;
     words_ = (n_ + 63) / 64;
-    cycle0_ = n_ ? frames[first].cycle : 0;
+    // Every per-row array covers whole words: the kernels read 16
+    // rows per vector lane group.
+    const size_t rows = words_ * 64;
 
     // The unit arrays start `history` frames before the window so a
     // window opening mid-segment still sees its lookback sources.
     const size_t history = std::min(maxLatency_, first);
-    unitRows_ = history + n_;
-    actU_.resize(numUnits * unitRows_);
-    dataU_.resize(numUnits * unitRows_);
-    for (size_t k = 0; k < unitRows_; ++k) {
+    unitRows_ = history + rows;
+    actU_.assign(numUnits * unitRows_, 0.0f);
+    dataU_.assign(numUnits * unitRows_, 0.0f);
+    for (size_t k = 0; k < history + n_; ++k) {
         const ActivityFrame &f = frames[first - history + k];
         for (size_t u = 0; u < numUnits; ++u) {
             actU_[u * unitRows_ + k] = f.activity[u];
@@ -61,16 +62,13 @@ ToggleColumnGenerator::bind(std::span<const ActivityFrame> frames,
         }
     }
 
-    contiguousCycles_ = true;
-    cycles_.resize(n_);
+    cycles_.assign(rows, 0);
     enabledMask_.assign(numUnits * words_, 0);
     prevEnabledMask_.assign(numUnits * words_, 0);
-    lookback_.resize((maxLatency_ + 1) * n_);
+    lookback_.resize((maxLatency_ + 1) * rows);
     for (size_t i = 0; i < n_; ++i) {
         const size_t r = first + i;
         cycles_[i] = frames[r].cycle;
-        if (cycles_[i] != cycle0_ + i)
-            contiguousCycles_ = false;
         const size_t begin =
             segment_begin_of.empty() ? 0 : segment_begin_of[r];
         const uint64_t bit = 1ULL << (i & 63);
@@ -82,22 +80,30 @@ ToggleColumnGenerator::bind(std::span<const ActivityFrame> frames,
                 prevEnabledMask_[u * words_ + (i >> 6)] |= bit;
         }
         for (size_t lat = 0; lat <= maxLatency_; ++lat)
-            lookback_[lat * n_ + i] = static_cast<uint32_t>(
+            lookback_[lat * rows + i] = static_cast<uint32_t>(
                 history + i - std::min(lat, r - begin));
     }
+    // Padding rows are masked off; stepping on by one keeps the last
+    // group's source rows in range and consecutive.
+    for (size_t lat = 0; lat <= maxLatency_; ++lat)
+        for (size_t i = n_; i < rows; ++i)
+            lookback_[lat * rows + i] = lookback_[lat * rows + i - 1] + 1;
 
-    draws_.resize(n_);
     busMasks_.clear();
 }
 
-void
-ToggleColumnGenerator::drawColumn(uint64_t seed)
+togglekernels::Column
+ToggleColumnGenerator::unitColumn(const Signal &sig, size_t latency) const
 {
-    if (contiguousCycles_)
-        hashkernels::unitDraws(seed, cycle0_, n_, draws_.data());
-    else
-        hashkernels::unitDrawsAt(seed, cycles_.data(), n_,
-                                 draws_.data());
+    const auto u = static_cast<size_t>(sig.unit);
+    togglekernels::Column c;
+    c.cycles = cycles_.data();
+    c.src = lookback_.data() + latency * words_ * 64;
+    c.act = actU_.data() + u * unitRows_;
+    c.data = dataU_.data() + u * unitRows_;
+    c.mask = enabledMask_.data() + u * words_;
+    c.words = words_;
+    return c;
 }
 
 const uint64_t *
@@ -111,18 +117,14 @@ ToggleColumnGenerator::busEventMask(const Signal &sig)
     if (it != busMasks_.end())
         return it->second.data();
 
-    const Bus &bus =
-        engine_.netlist().bus(static_cast<size_t>(sig.busId));
-    std::vector<uint64_t> mask(words_, 0);
-    drawColumn(engine_.busDrawSeed(sig.busId));
-    const float *act = actU_.data() + u * unitRows_;
-    const uint32_t *src = lookback_.data() + sig.latency * n_;
-    for (size_t i = 0; i < n_; ++i) {
-        const float p_event = ActivityEngine::busEventThreshold(
-            bus.eventSensitivity, act[src[i]]);
-        if (draws_[i] < p_event)
-            mask[i >> 6] |= 1ULL << (i & 63);
-    }
+    togglekernels::Column c = unitColumn(sig, sig.latency);
+    c.rule = togglekernels::Rule::BusEvent;
+    c.seed = engine_.busDrawSeed(sig.busId);
+    c.eventSensitivity =
+        engine_.netlist().bus(static_cast<size_t>(sig.busId))
+            .eventSensitivity;
+    std::vector<uint64_t> mask(words_);
+    fill_(c, mask.data());
     return busMasks_.emplace(key, std::move(mask))
         .first->second.data();
 }
@@ -133,59 +135,29 @@ ToggleColumnGenerator::fillColumn(uint32_t sig_id, uint64_t *out)
     APOLLO_ASSERT(n_ > 0, "bind() first");
 
     const Signal &sig = engine_.netlist().signal(sig_id);
-    const auto u = static_cast<size_t>(sig.unit);
-    const uint64_t *en = enabledMask_.data() + u * words_;
-    const float *act = actU_.data() + u * unitRows_;
-    const float *data = dataU_.data() + u * unitRows_;
-    const uint32_t *src = lookback_.data() + sig.latency * n_;
-    std::memset(out, 0, words_ * sizeof(uint64_t));
-
-    switch (sig.kind) {
-      case SignalKind::ClockEnable: {
+    if (sig.kind == SignalKind::ClockEnable) {
+        const auto u = static_cast<size_t>(sig.unit);
+        const uint64_t *en = enabledMask_.data() + u * words_;
         const uint64_t *prev = prevEnabledMask_.data() + u * words_;
         for (size_t w = 0; w < words_; ++w)
             out[w] = en[w] ^ prev[w];
         return;
-      }
-
-      case SignalKind::GatedClock: {
-        drawColumn(engine_.signalDrawSeed(sig_id));
-        act += unitRows_ - n_; // the window's own rows
-        for (size_t i = 0; i < n_; ++i) {
-            const bool t = act[i] >= 0.999f ||
-                draws_[i] < ActivityEngine::gatedClockThreshold(act[i]);
-            out[i >> 6] |= static_cast<uint64_t>(t) << (i & 63);
-        }
-        break;
-      }
-
-      case SignalKind::BusBit: {
-        const uint64_t *ev = busEventMask(sig);
-        drawColumn(engine_.signalDrawSeed(sig_id));
-        for (size_t i = 0; i < n_; ++i) {
-            const bool t = draws_[i] <
-                ActivityEngine::busBitThreshold(data[src[i]]);
-            out[i >> 6] |= static_cast<uint64_t>(t) << (i & 63);
-        }
-        for (size_t w = 0; w < words_; ++w)
-            out[w] &= ev[w];
-        break;
-      }
-
-      default: { // FlipFlop / CombWire
-        drawColumn(engine_.signalDrawSeed(sig_id));
-        for (size_t i = 0; i < n_; ++i) {
-            const float p = ActivityEngine::toggleProbability(
-                sig, act[src[i]], data[src[i]]);
-            out[i >> 6] |=
-                static_cast<uint64_t>(draws_[i] < p) << (i & 63);
-        }
-        break;
-      }
     }
 
-    for (size_t w = 0; w < words_; ++w)
-        out[w] &= en[w];
+    // A gated clock reads its window's own rows, whatever its latency.
+    const bool gated = sig.kind == SignalKind::GatedClock;
+    togglekernels::Column c = unitColumn(sig, gated ? 0 : sig.latency);
+    c.seed = engine_.signalDrawSeed(sig_id);
+    if (gated) {
+        c.rule = togglekernels::Rule::GatedClock;
+    } else if (sig.kind == SignalKind::BusBit) {
+        c.rule = togglekernels::Rule::BusBit;
+        c.mask = busEventMask(sig);
+    } else { // FlipFlop / CombWire
+        c.rule = togglekernels::Rule::Toggle;
+        c.sig = &sig;
+    }
+    fill_(c, out);
 }
 
 void
@@ -203,7 +175,7 @@ fillToggleColumns(const ActivityEngine &engine,
     const size_t block = std::clamp<size_t>(
         ((count + slots - 1) / slots + 63) & ~size_t{63}, 64,
         kMaxBlockRows);
-    // One generator per pool chunk: fillColumn shares draw scratch.
+    // One generator per pool chunk: its bind scratch is reused.
     parallelFor(sig_ids.empty() ? 0 : (count + block - 1) / block,
                 [&](size_t b0, size_t b1) {
         ToggleColumnGenerator gen(engine);

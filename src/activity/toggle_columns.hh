@@ -8,11 +8,14 @@
  * re-derives its draw seed, and re-branches on its kind for every
  * (signal, cycle) pair. Generating a whole column at once hoists all
  * of that out of the cycle loop and leaves only the per-cycle hash
- * draw — which the util/hash_kernels batch kernel evaluates eight
- * lanes at a time. Additional batched structure:
+ * draw, threshold and compare, which one fused kernel per signal kind
+ * (activity/toggle_kernels.hh) evaluates 16 rows at a time into
+ * register words. Additional batched structure:
  *  - segment starts and pre-window history are resolved once per
  *    bind(): per-latency lookback row tables, and per-unit masks of
  *    the clock enable and of its predecessor state;
+ *  - every per-row array is padded to whole 64-row words, so the
+ *    kernels' vector lanes never read outside an allocation;
  *  - ClockEnable columns are pure word arithmetic with no hashing;
  *  - per-bus event-pass masks are computed once per (bus, unit,
  *    latency) and shared by all bits of the bus.
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "activity/activity_engine.hh"
+#include "activity/toggle_kernels.hh"
 #include "util/bitvec.hh"
 
 namespace apollo {
@@ -44,7 +48,10 @@ void requireSegmentTable(std::span<const uint32_t> segment_begin_of,
 class ToggleColumnGenerator
 {
   public:
-    explicit ToggleColumnGenerator(const ActivityEngine &engine);
+    /** @p impl picks the fused kernel (tests and the bench ablation). */
+    explicit ToggleColumnGenerator(
+        const ActivityEngine &engine,
+        togglekernels::Impl impl = togglekernels::bestImpl());
 
     /**
      * Bind rows [first, first+count) of @p frames, segmented by
@@ -69,30 +76,36 @@ class ToggleColumnGenerator
     void fillColumn(uint32_t sig_id, uint64_t *out);
 
   private:
-    void drawColumn(uint64_t seed);
+    /** Kernel inputs of @p sig's unit at @p latency (rule unset). */
+    togglekernels::Column unitColumn(const Signal &sig,
+                                     size_t latency) const;
     const uint64_t *busEventMask(const Signal &sig);
 
     const ActivityEngine &engine_;
+    const togglekernels::FillFn fill_;
     size_t maxLatency_ = 0;
     size_t n_ = 0;
     size_t words_ = 0;
-    /** Per-unit stride of actU_/dataU_: lookback history + n_ rows. */
+    /** Per-unit stride of actU_/dataU_: history + wordCount() * 64. */
     size_t unitRows_ = 0;
-    uint64_t cycle0_ = 0;
-    bool contiguousCycles_ = false;
     /** Per-unit clock-enable masks, numUnits x wordCount(). */
     std::vector<uint64_t> enabledMask_;
     /** Same for each row's predecessor (enabled at segment starts). */
     std::vector<uint64_t> prevEnabledMask_;
-    /** Column-major per-unit activity/data factors. */
+    /** Column-major per-unit activity/data factors (padding rows 0). */
     std::vector<float> actU_;
     std::vector<float> dataU_;
-    /** Per latency, each bound row's unit-array source row. */
+    /**
+     * Per latency, each padded row's unit-array source row; padding
+     * rows continue the last row's step of one.
+     */
     std::vector<uint32_t> lookback_;
-    /** Batch draw scratch. */
-    std::vector<float> draws_;
+    /** Each padded row's cycle stamp (padding rows 0). */
     std::vector<uint64_t> cycles_;
-    /** (busId << 16 | unit << 8 | latency) -> event-pass mask. */
+    /**
+     * (busId << 16 | unit << 8 | latency) -> event-pass mask, already
+     * ANDed with the unit's clock enable.
+     */
     std::unordered_map<uint64_t, std::vector<uint64_t>> busMasks_;
 };
 

@@ -1,0 +1,281 @@
+#include "activity/toggle_kernels.hh"
+
+#include "activity/activity_engine.hh"
+#include "util/kernel_env.hh"
+#include "util/logging.hh"
+#include "util/rng.hh"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define APOLLO_HAVE_AVX512_TOGGLE 1
+#include <immintrin.h>
+#endif
+
+namespace apollo::togglekernels {
+
+namespace {
+
+/** Row @p i of @p c passes rule R: the scalar definition. */
+template <Rule R>
+inline bool
+passes(const Column &c, size_t i)
+{
+    const float draw = hashToUnitFloat(hashCombine(c.seed, c.cycles[i]));
+    const uint32_t s = c.src[i];
+    if constexpr (R == Rule::GatedClock) {
+        return c.act[s] >= 0.999f ||
+               draw < ActivityEngine::gatedClockThreshold(c.act[s]);
+    } else if constexpr (R == Rule::BusEvent) {
+        return !(draw >= ActivityEngine::busEventThreshold(
+                             c.eventSensitivity, c.act[s]));
+    } else if constexpr (R == Rule::BusBit) {
+        return draw < ActivityEngine::busBitThreshold(c.data[s]);
+    } else {
+        return draw < ActivityEngine::toggleProbability(*c.sig, c.act[s],
+                                                        c.data[s]);
+    }
+}
+
+template <Rule R>
+void
+fillPortableRule(const Column &c, uint64_t *out)
+{
+    for (size_t w = 0; w < c.words; ++w) {
+        const uint64_t mask = c.mask[w];
+        uint64_t word = 0;
+        if (mask != 0)
+            for (size_t b = 0; b < 64; ++b)
+                word |= static_cast<uint64_t>(passes<R>(c, w * 64 + b))
+                        << b;
+        out[w] = word & mask;
+    }
+}
+
+void
+fillPortable(const Column &c, uint64_t *out)
+{
+    switch (c.rule) {
+      case Rule::GatedClock:
+        return fillPortableRule<Rule::GatedClock>(c, out);
+      case Rule::BusEvent:
+        return fillPortableRule<Rule::BusEvent>(c, out);
+      case Rule::BusBit:
+        return fillPortableRule<Rule::BusBit>(c, out);
+      case Rule::Toggle:
+        return fillPortableRule<Rule::Toggle>(c, out);
+    }
+}
+
+#ifdef APOLLO_HAVE_AVX512_TOGGLE
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512dq")
+
+// GCC vector types: their plain operators compile to one AVX-512
+// instruction per lane-wise operation (`*` on U64x8 is vpmullq), so
+// the kernels below spell the scalar definitions' expressions
+// verbatim. __m512 is itself such a float vector.
+typedef uint64_t U64x8 __attribute__((vector_size(64)));
+typedef int32_t I32x16 __attribute__((vector_size(64)));
+
+/** Top 24 bits of hashCombine(seed, cycle) for 8 cycle stamps. */
+inline U64x8
+hashTop24(const uint64_t *cycles, uint64_t seed)
+{
+    const U64x8 c = reinterpret_cast<U64x8>(_mm512_loadu_si512(cycles));
+    // hashCombine(seed, c) = hashMix(seed ^ (c + K)), K from the seed.
+    U64x8 x = seed ^ (c + (0x9e3779b97f4a7c15ULL + (seed << 6) +
+                           (seed >> 2)));
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    // hashMix's last round, x ^= x >> 33, keeps bits 31..63 as they
+    // are, so the top 24 bits are already final.
+    return x >> 40;
+}
+
+/** hashToUnitFloat(hashCombine(seed, cycles[l])) for 16 lanes. */
+inline __m512
+draws16(const uint64_t *cycles, uint64_t seed)
+{
+    // The low dwords of the 16 lanes in row order. Values below 2^24
+    // convert exactly, and the scale is a power of two.
+    const __m512i top = _mm512_permutex2var_epi32(
+        reinterpret_cast<__m512i>(hashTop24(cycles, seed)),
+        _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24,
+                          26, 28, 30),
+        reinterpret_cast<__m512i>(hashTop24(cycles + 8, seed)));
+    return __builtin_convertvector(reinterpret_cast<I32x16>(top),
+                                   __m512) *
+           (1.0f / 16777216.0f);
+}
+
+/** A 16-row group's source rows. */
+struct Rows16
+{
+    __m512i idx;
+    uint32_t first;
+    /** Every lane's row is its predecessor's plus one. */
+    bool consecutive;
+};
+
+inline Rows16
+rows16(const uint32_t *src)
+{
+    const __m512i idx = _mm512_loadu_si512(src);
+    // Lane by lane: a group that crosses a segment start after a long
+    // segment steps +(1+latency), 0, 0 and still spans 15 rows, so
+    // its two ends alone look consecutive.
+    const __m512i want = _mm512_add_epi32(
+        _mm512_set1_epi32(static_cast<int>(src[0])),
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                          14, 15));
+    return {idx, src[0], _mm512_cmpeq_epi32_mask(idx, want) == 0xffff};
+}
+
+inline __m512
+load16(const float *base, const Rows16 &r)
+{
+    return r.consecutive ? _mm512_loadu_ps(base + r.first)
+                         : _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
+                                                    0xffff, r.idx, base,
+                                                    4);
+}
+
+/**
+ * std::clamp(p, 0.0f, 0.95f) as its two selects, max then min:
+ * x = p < 0 ? 0 : p, then 0.95 < x ? 0.95 : x (NaN and -0.0 pass
+ * through as they do in std::clamp).
+ */
+inline __m512
+clamp095(__m512 p)
+{
+    const __m512 lo = _mm512_setzero_ps();
+    const __m512 hi = _mm512_set1_ps(0.95f);
+    const __m512 x =
+        _mm512_mask_blend_ps(_mm512_cmp_ps_mask(p, lo, _CMP_LT_OQ), p, lo);
+    return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(hi, x, _CMP_LT_OQ), x,
+                                hi);
+}
+
+/** `draw < thr` lane-wise, ordered and quiet like the scalar `<`. */
+inline __mmask16
+less16(__m512 draw, __m512 thr)
+{
+    return _mm512_cmp_ps_mask(draw, thr, _CMP_LT_OQ);
+}
+
+/**
+ * The pass mask of rows [i, i+16) under rule R: ActivityEngine's
+ * threshold expressions, operator for operator.
+ */
+template <Rule R>
+inline __mmask16
+passes16(const Column &c, size_t i, __m512 draw)
+{
+    const Rows16 r = rows16(c.src + i);
+    if constexpr (R == Rule::GatedClock) {
+        const __m512 act = load16(c.act, r);
+        return _mm512_cmp_ps_mask(act, _mm512_set1_ps(0.999f),
+                                  _CMP_GE_OQ) |
+               less16(draw, 0.18f + 0.82f * act);
+    } else if constexpr (R == Rule::BusEvent) {
+        // !(draw >= thr): true on an unordered (NaN) threshold.
+        return _mm512_cmp_ps_mask(
+            draw, clamp095(c.eventSensitivity * load16(c.act, r)),
+            _CMP_NGE_UQ);
+    } else if constexpr (R == Rule::BusBit) {
+        return less16(draw, 0.35f + 0.65f * load16(c.data, r));
+    } else {
+        const Signal &sig = *c.sig;
+        const __m512 act = load16(c.act, r);
+        const __m512 data = load16(c.data, r);
+        return less16(draw, clamp095(sig.baseRate +
+                                     sig.actSensitivity * act *
+                                         (1.0f - sig.dataSensitivity *
+                                                     (1.0f - data))));
+    }
+}
+
+template <Rule R>
+void
+fillAvx512Rule(const Column &c, uint64_t *out)
+{
+    for (size_t w = 0; w < c.words; ++w) {
+        const uint64_t mask = c.mask[w];
+        uint64_t word = 0;
+        for (unsigned g = 0; g < 64; g += 16) {
+            if (((mask >> g) & 0xffff) == 0)
+                continue;
+            const size_t i = w * 64 + g;
+            const __mmask16 m =
+                passes16<R>(c, i, draws16(c.cycles + i, c.seed));
+            word |= static_cast<uint64_t>(m) << g;
+        }
+        out[w] = word & mask;
+    }
+}
+
+void
+fillAvx512(const Column &c, uint64_t *out)
+{
+    switch (c.rule) {
+      case Rule::GatedClock:
+        return fillAvx512Rule<Rule::GatedClock>(c, out);
+      case Rule::BusEvent:
+        return fillAvx512Rule<Rule::BusEvent>(c, out);
+      case Rule::BusBit:
+        return fillAvx512Rule<Rule::BusBit>(c, out);
+      case Rule::Toggle:
+        return fillAvx512Rule<Rule::Toggle>(c, out);
+    }
+}
+
+#pragma GCC pop_options
+
+#endif // APOLLO_HAVE_AVX512_TOGGLE
+
+} // namespace
+
+bool
+implAvailable(Impl impl)
+{
+    if (impl == Impl::Portable)
+        return true;
+#ifdef APOLLO_HAVE_AVX512_TOGGLE
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512dq");
+#else
+    return false;
+#endif
+}
+
+const char *
+implName(Impl impl)
+{
+    return impl == Impl::Avx512 ? "avx512" : "portable";
+}
+
+FillFn
+implFill(Impl impl)
+{
+    APOLLO_REQUIRE(implAvailable(impl), "toggle kernel ", implName(impl),
+                   " is not available on this host");
+#ifdef APOLLO_HAVE_AVX512_TOGGLE
+    if (impl == Impl::Avx512)
+        return fillAvx512;
+#endif
+    return fillPortable;
+}
+
+Impl
+bestImpl()
+{
+    static const Impl best = !kernelOverrideSet("APOLLO_NO_AVX512") &&
+                                     implAvailable(Impl::Avx512)
+                                 ? Impl::Avx512
+                                 : Impl::Portable;
+    return best;
+}
+
+} // namespace apollo::togglekernels

@@ -5,6 +5,7 @@
 
 #include "gen/fitness_eval.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "opm/opm_simulator.hh"
 
 namespace apollo::control {
@@ -100,6 +101,7 @@ ClosedLoopRunner::replayEstimate(std::span<const ActivityFrame> frames,
 std::vector<float>
 ClosedLoopRunner::truthPower(std::span<const ActivityFrame> frames)
 {
+    APOLLO_TRACE_SPAN("control.truth_power");
     FitnessEvaluator eval(netlist_, engine_, oracle_);
     std::vector<double> powers;
     eval.cyclePowers(frames, powers);

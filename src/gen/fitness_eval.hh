@@ -4,9 +4,10 @@
  * frame window — average finalized oracle power from every stride-th
  * signal, scaled back up (relative ordering is all the GA needs).
  *
- * One implementation (INTERNALS.md §9): column-major batched toggle
- * generation (ToggleColumnGenerator) feeding weighted bit-column
- * accumulation (OracleAccumulator). It is bit-exact for any
+ * One implementation (INTERNALS.md §9): column-major toggle generation
+ * (ToggleColumnGenerator, whose fused kernels draw, threshold and
+ * compare 16 rows at a time into register words) feeding weighted
+ * bit-column accumulation (OracleAccumulator). It is bit-exact for any
  * frames/stride against the per-cycle transcription in src/ref
  * (ref::fitnessCyclePowers), which serves as both the differential
  * oracle and the perf bench's baseline.

@@ -79,31 +79,37 @@ DatasetBuilder::build() const
 
     Dataset ds;
     ds.segments = segments_;
-    std::vector<uint32_t> all_ids(m);
-    for (size_t c = 0; c < m; ++c)
-        all_ids[c] = static_cast<uint32_t>(c);
-    fillToggleColumns(engine_, frames_, segmentBeginTable(), 0, n, all_ids,
-                      ds.X);
+    {
+        APOLLO_TRACE_SPAN("trace.fill_columns");
+        std::vector<uint32_t> all_ids(m);
+        for (size_t c = 0; c < m; ++c)
+            all_ids[c] = static_cast<uint32_t>(c);
+        fillToggleColumns(engine_, frames_, segmentBeginTable(), 0, n,
+                          all_ids, ds.X);
+    }
 
     // Row-parallel labels: each cycle sums its toggling signals'
     // contributions into one double over ascending signal ids, then
     // finalizes, so the order does not depend on the pool size.
     ds.y.resize(n);
-    parallelFor(ds.X.wordsPerCol(), [&](size_t w0, size_t w1) {
-        for (size_t w = w0; w < w1; ++w) {
-            double acc[64] = {};
-            for (size_t c = 0; c < m; ++c)
-                for (uint64_t bits = ds.X.colWords(c)[w]; bits;
-                     bits &= bits - 1) {
-                    const int b = std::countr_zero(bits);
-                    acc[b] += oracle_.signalContribution(
-                        static_cast<uint32_t>(c), frames_[w * 64 + b]);
-                }
-            for (size_t i = w * 64; i < std::min(n, w * 64 + 64); ++i)
-                ds.y[i] = static_cast<float>(
-                    oracle_.finalize(acc[i - w * 64], i));
-        }
-    });
+    {
+        APOLLO_TRACE_SPAN("trace.label_pass");
+        parallelFor(ds.X.wordsPerCol(), [&](size_t w0, size_t w1) {
+            for (size_t w = w0; w < w1; ++w) {
+                double acc[64] = {};
+                for (size_t c = 0; c < m; ++c)
+                    for (uint64_t bits = ds.X.colWords(c)[w]; bits;
+                         bits &= bits - 1) {
+                        const int b = std::countr_zero(bits);
+                        acc[b] += oracle_.signalContribution(
+                            static_cast<uint32_t>(c), frames_[w * 64 + b]);
+                    }
+                for (size_t i = w * 64; i < std::min(n, w * 64 + 64); ++i)
+                    ds.y[i] = static_cast<float>(
+                        oracle_.finalize(acc[i - w * 64], i));
+            }
+        });
+    }
     APOLLO_COUNT("apollo.activity.datasets_built", 1);
     if (APOLLO_OBS_ON() && m > 0) {
         uint64_t ones = 0;

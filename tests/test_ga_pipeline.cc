@@ -2,10 +2,10 @@
  * @file
  * Regression tests for the parallel, cached, single-pass GA
  * training-data pipeline (docs/INTERNALS.md §9): configuration
- * validation, the batch hash-kernel contract, thread-count invariance
- * of the GA trajectory, fitness equal to the src/ref transcription,
- * deterministic cache counters, and byte-identity of the single-pass
- * dataset export against full re-simulation.
+ * validation, thread-count invariance of the GA trajectory, fitness
+ * equal to the src/ref transcription, deterministic cache counters,
+ * and byte-identity of the single-pass dataset export against full
+ * re-simulation.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +15,7 @@
 #include "apollo.hh"
 
 #include "ref/reference_ga.hh"
-#include "util/hash_kernels.hh"
 #include "util/logging.hh"
-#include "util/rng.hh"
 
 namespace apollo {
 namespace {
@@ -130,37 +128,6 @@ TEST(GaConfigValidate, ConstructorEnforcesValidation)
     GaConfig cfg = pipelineConfig();
     cfg.fitnessSignalStride = 0;
     EXPECT_THROW(GaGenerator(builder, cfg), FatalError);
-}
-
-TEST(HashKernels, BatchDrawsMatchScalarFormula)
-{
-    // The dispatched batch kernel is contractually bit-identical to
-    // hashToUnitFloat(hashCombine(seed, cycle)) — on every dispatch
-    // path, including AVX-512 when the host enables it.
-    std::vector<float> out(200);
-    for (const uint64_t seed : {0ULL, 0x6a6aULL, ~0ULL, 0x12345ULL}) {
-        for (const size_t n : {size_t{0}, size_t{1}, size_t{7},
-                               size_t{8}, size_t{9}, size_t{63},
-                               size_t{64}, size_t{65}, size_t{130}}) {
-            const uint64_t cycle0 = seed * 977 + 5;
-            hashkernels::unitDraws(seed, cycle0, n, out.data());
-            for (size_t i = 0; i < n; ++i)
-                ASSERT_EQ(out[i],
-                          hashToUnitFloat(hashCombine(seed, cycle0 + i)))
-                    << "seed=" << seed << " n=" << n << " i=" << i;
-        }
-    }
-
-    // Gather variant over arbitrary (non-contiguous) cycle numbers.
-    std::vector<uint64_t> cycles;
-    Xoshiro256StarStar rng(42);
-    for (size_t i = 0; i < 150; ++i)
-        cycles.push_back(rng());
-    hashkernels::unitDrawsAt(0xfeedULL, cycles.data(), cycles.size(),
-                             out.data());
-    for (size_t i = 0; i < cycles.size(); ++i)
-        ASSERT_EQ(out[i],
-                  hashToUnitFloat(hashCombine(0xfeedULL, cycles[i])));
 }
 
 TEST(GaPipeline, TrajectoryInvariantAcrossThreadCounts)

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apollo.hh"
+#include "control/closed_loop.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/thread_pool.hh"
@@ -279,6 +280,13 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
     const auto hw = sim.simulate(proxies);
     EXPECT_EQ(hw.size(), report->dataset.cycles());
 
+    // Control: the closed loop's truth-power oracle.
+    DatasetBuilder loop_frames(netlist);
+    loop_frames.addProgram(workload, 500);
+    control::ClosedLoopRunner runner(netlist, qm);
+    EXPECT_EQ(runner.truthPower(loop_frames.frames()).size(),
+              loop_frames.frames().size());
+
     const auto counters = reg.counterValues();
     for (const char *name :
          {"apollo.solver.fits", "apollo.solver.path_points",
@@ -308,7 +316,8 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
     EXPECT_TRUE(balancedJson(trace_json));
     for (const char *span :
          {"flow.ga_run", "ga.generation", "trace.build",
-          "flow.simulate", "stream.run"})
+          "trace.fill_columns", "trace.label_pass", "flow.simulate",
+          "stream.run", "control.truth_power"})
         EXPECT_NE(trace_json.find(span), std::string::npos)
             << "trace lacks span " << span;
 }

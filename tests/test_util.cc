@@ -11,9 +11,9 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "activity/toggle_kernels.hh"
 #include "util/bitvec.hh"
 #include "util/bitvec_kernels.hh"
-#include "util/hash_kernels.hh"
 #include "util/kernel_env.hh"
 #include "util/logging.hh"
 #include "util/popcnt_kernels.hh"
@@ -241,7 +241,7 @@ TEST(KernelDispatch, Avx512OverrideReachesEveryKernelFamily)
     if (!kernelOverrideSet("APOLLO_NO_AVX512"))
         return;
     EXPECT_FALSE(bitkernels::avx512Enabled());
-    EXPECT_FALSE(hashkernels::avx512Enabled());
+    EXPECT_NE(togglekernels::bestImpl(), togglekernels::Impl::Avx512);
     EXPECT_NE(popkernels::bestImpl(), popkernels::Impl::Avx512);
 }
 

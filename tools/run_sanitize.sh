@@ -52,21 +52,23 @@ elif [[ "$SANITIZER" == "tsan" ]]; then
     # TSan focuses on the threaded paths: the serving layer, the
     # parallel streaming engine, the threaded GA pipeline, the
     # row-blocked toggle-column driver (block workers write disjoint
-    # 64-row words of shared columns), the sharded screen/solve (mmap
+    # 64-row words of shared columns; ToggleKernels drives it next to
+    # each kernel's own generator), the sharded screen/solve (mmap
     # readers fanned over the worker pool), and the droop lab's
     # scenario fan-out.
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab'
+        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab'
 else
     # Streaming + serving suites plus the differential-oracle layer
     # (label "oracle": every production path vs its reference under
     # ASan+UBSan) and the corpus-replay fuzz drivers (label "fuzz").
-    suites='SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|HashKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+    suites='SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
     # The same suites on the portable kernels: ASan does not check
-    # AVX-512 masked stores, so an overrun inside an AVX-512 kernel
-    # stays silent on hosts that dispatch to it.
+    # AVX-512 masked stores, gathers or masked loads, so an overrun
+    # inside an AVX-512 kernel stays silent on hosts that dispatch to
+    # it.
     APOLLO_NO_AVX512=1 APOLLO_NO_AVX2=1 \
         ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
 fi
