@@ -5,8 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
+#include "activity/toggle_kernels.hh"
 #include "obs/metrics.hh"
+#include "util/popcnt_kernels.hh"
 
 
 namespace apollo::bench {
@@ -180,6 +183,32 @@ trainApolloAtQ(const Context &ctx, size_t q)
     ApolloTrainConfig cfg;
     cfg.selection.targetQ = q;
     return trainApollo(ctx.train, cfg, ctx.netlist.name());
+}
+
+std::string
+hostJson()
+{
+    std::string git = "unknown";
+    if (FILE *p = popen("git -C \"" APOLLO_BENCH_SOURCE_DIR
+                        "\" describe --always --dirty 2>/dev/null",
+                        "r")) {
+        char buf[64] = {};
+        if (std::fgets(buf, sizeof(buf), p) && buf[0] != '\0') {
+            git = buf;
+            git.erase(git.find_last_not_of("\r\n") + 1);
+        }
+        pclose(p);
+    }
+    std::ostringstream os;
+    os << "{\"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"popcount\": \""
+       << popkernels::implName(popkernels::bestImpl())
+       << "\", \"toggle\": \""
+       << togglekernels::implName(togglekernels::bestImpl())
+       << "\", \"compiler\": \"" << APOLLO_BENCH_COMPILER
+       << "\", \"flags\": \"" << APOLLO_BENCH_FLAGS << "\", \"git\": \""
+       << git << "\"}";
+    return os.str();
 }
 
 std::map<std::string, uint64_t>

@@ -63,6 +63,15 @@ struct TrainExportBudget
 };
 TrainExportBudget benchTrainBudget(Design design, bool fast);
 
+/**
+ * The host and build a BENCH_*.json was recorded on, as one JSON object
+ * on a single line: nproc, the dispatched popcount and toggle kernels,
+ * compiler, flags and git revision (the fields of the header
+ * bench/e2e/run.py prints; the revision ends in "-dirty" when the
+ * tree has uncommitted changes).
+ */
+std::string hostJson();
+
 /** True when APOLLO_BENCH_FAST=1. */
 bool fastMode();
 

@@ -12,6 +12,17 @@
 
 namespace apollo {
 
+namespace {
+
+/**
+ * Most frames one addProgram call reserves ahead of the run (about
+ * 700 MiB of address space): a max_cycles near UINT64_MAX must not
+ * request an impossible allocation. Longer runs grow past it.
+ */
+constexpr uint64_t kMaxReservedFrames = uint64_t{1} << 22;
+
+} // namespace
+
 DatasetBuilder::DatasetBuilder(const Netlist &netlist,
                                const CoreParams &core_params,
                                const PowerParams &power_params)
@@ -32,6 +43,13 @@ DatasetBuilder::addProgram(const Program &prog, uint64_t max_cycles,
     CoreParams params = coreParams_;
     params.throttle = throttle;
     TimingCore core(params);
+
+    // Reserve the whole run up front, and at least double, so that a
+    // build from many programs stays linear in total frames.
+    const size_t want =
+        frames_.size() + std::min(max_cycles, kMaxReservedFrames);
+    if (want > frames_.capacity())
+        frames_.reserve(std::max(want, 2 * frames_.capacity()));
 
     SegmentInfo seg;
     seg.name = prog.name();

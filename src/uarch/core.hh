@@ -23,7 +23,6 @@
 #define APOLLO_UARCH_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>

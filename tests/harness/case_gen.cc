@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "flow/flows.hh"
 #include "ml/feature_view.hh"
 #include "ref/reference_solver.hh"
 
@@ -720,6 +722,164 @@ makeGaRunCase(uint64_t seed)
       default:
         c.shape = "global-pool";
         ga.threads = 0;
+    }
+    return c;
+}
+
+namespace {
+
+/** Random cache geometry small enough to keep the MSHRs busy. */
+CacheParams
+randomCache(Xoshiro256StarStar &rng, bool last_level)
+{
+    CacheParams c;
+    c.lineBytes = 64;
+    c.ways = 1u << rng.nextBounded(4);
+    c.sizeBytes = c.lineBytes * c.ways *
+                  (1u << (2 + rng.nextBounded(last_level ? 10 : 7)));
+    c.latency = static_cast<uint32_t>(rng.nextBounded(last_level ? 16 : 5));
+    c.mshrs = 1 + static_cast<uint32_t>(rng.nextBounded(8));
+    c.fillLatency =
+        last_level ? 1 + static_cast<uint32_t>(rng.nextBounded(120)) : 0;
+    return c;
+}
+
+} // namespace
+
+CoreCase
+makeCoreCase(uint64_t seed)
+{
+    Xoshiro256StarStar rng(hashMix(seed ^ 0xc07e));
+    CoreCase c;
+    const uint64_t shape = hashMix(seed ^ 0xc07f) % 8;
+    auto in = [&](uint32_t lo, uint32_t hi) {
+        return lo + static_cast<uint32_t>(rng.nextBounded(hi - lo + 1));
+    };
+
+    CoreParams &p = c.params;
+    p.fetchWidth = in(1, 8);
+    p.decodeWidth = in(1, 8);
+    p.issueWidth = in(1, 8);
+    p.retireWidth = in(1, 8);
+    p.fetchQueueSize = in(1, 32);
+    p.issueWindow = in(1, 64);
+    p.robSize = in(1, 160);
+    p.storeBufferSize = in(1, 16);
+    p.numAlus = in(1, 4);
+    p.numVecPipes = in(1, 3);
+    p.numLsuPorts = in(1, 3);
+    p.aluLatency = in(1, 2);
+    p.mulLatency = in(1, 6);
+    p.divLatency = in(1, 20);
+    p.vaddLatency = in(1, 4);
+    p.vmulLatency = in(1, 5);
+    p.vfmaLatency = in(1, 6);
+    p.mispredictPenalty = in(0, 12);
+    p.gateAfterIdle = in(0, 4);
+    p.warmupCycles = rng.nextBounded(300);
+    p.l1i = randomCache(rng, false);
+    p.l1d = randomCache(rng, false);
+    p.l2 = randomCache(rng, true);
+    static constexpr ThrottleMode kModes[] = {
+        ThrottleMode::None, ThrottleMode::Scheme1, ThrottleMode::Scheme2,
+        ThrottleMode::Scheme3, ThrottleMode::Proportional};
+    p.throttle = kModes[rng.nextBounded(std::size(kModes))];
+
+    bool long_workload = rng.nextBounded(3) == 0;
+    int iterations = static_cast<int>(in(20, 400));
+    c.maxCycles = in(1, 6000);
+    switch (shape) {
+      case 0: c.shape = "nominal"; break;
+      case 1:
+        c.shape = "one-entry-queues";
+        p.robSize = 1;
+        p.issueWindow = 1;
+        p.fetchQueueSize = 1;
+        p.storeBufferSize = 1;
+        break;
+      case 2:
+        c.shape = "one-entry-some";
+        if (rng.nextBounded(2))
+            p.robSize = 1;
+        if (rng.nextBounded(2))
+            p.issueWindow = 1;
+        if (rng.nextBounded(2))
+            p.fetchQueueSize = 1;
+        if (rng.nextBounded(2))
+            p.storeBufferSize = 1;
+        break;
+      case 3:
+        c.shape = "no-warmup";
+        p.warmupCycles = 0;
+        break;
+      case 4:
+        c.shape = "zero-latency";
+        p.aluLatency = 0;
+        p.mulLatency = 0;
+        p.divLatency = 0;
+        p.mispredictPenalty = 0;
+        p.l1d.latency = 0;
+        p.l1d.mshrs = 1;
+        p.l2.mshrs = 1;
+        break;
+      case 5:
+        c.shape = "ends-early";
+        long_workload = false;
+        iterations = static_cast<int>(in(1, 12));
+        c.maxCycles = rng.nextBounded(2)
+                          ? std::numeric_limits<uint64_t>::max()
+                          : uint64_t{1} << 40;
+        break;
+      case 6:
+        c.shape = "dense-control";
+        break;
+      default:
+        c.shape = "store-forwarding";
+        long_workload = false;
+        p.numLsuPorts = in(2, 3);
+        p.storeBufferSize = in(2, 16);
+    }
+    c.shape += long_workload ? "+long" : "+loop";
+
+    std::vector<Instruction> body;
+    if (shape == 7) {
+        // Loads and stores over four words of one line. Stores read
+        // registers no load writes, so they issue at once and fill the
+        // store buffer, and loads find matches behind its head.
+        using namespace asm_helpers;
+        const uint32_t len = in(2, 16);
+        for (uint32_t i = 0; i < len; ++i) {
+            const int reg = static_cast<int>(rng.nextBounded(8));
+            const auto off = static_cast<int32_t>(8 * rng.nextBounded(4));
+            switch (rng.nextBounded(5)) {
+              case 0: body.push_back(ldr(reg, 30, off)); break;
+              case 1: body.push_back(vldr(reg, 30, off)); break;
+              case 2: body.push_back(vstr(8 + reg, 30, off)); break;
+              default: body.push_back(str(8 + reg, 30, off)); break;
+            }
+        }
+    } else if (!long_workload) {
+        body = GaGenerator::randomBody(rng, 1, 24);
+    }
+    if (long_workload)
+        c.program = makeLongWorkload("long", in(1000, 6000), rng());
+    else
+        c.program = Program::makeLoop("loop", body, iterations, rng());
+
+    // Control schedule: engage a random pulsed mode, or release, at
+    // random recorded cycles (densely in the dense-control shape).
+    const uint64_t horizon = std::min<uint64_t>(c.maxCycles, 6000);
+    const uint64_t steps =
+        shape == 6 ? 20 + rng.nextBounded(200) : rng.nextBounded(12);
+    uint64_t cycle = 0;
+    for (uint64_t i = 0; i < steps; ++i) {
+        cycle += rng.nextBounded(2 * horizon / (steps + 1) + 1);
+        CoreControlStep step;
+        step.cycle = cycle;
+        step.release = rng.nextBounded(4) == 0;
+        step.mode = kModes[1 + rng.nextBounded(std::size(kModes) - 1)];
+        step.level = in(1, p.issueWidth + 1);
+        c.control.push_back(step);
     }
     return c;
 }

@@ -190,6 +190,37 @@ struct GaRunCase
 
 GaRunCase makeGaRunCase(uint64_t seed);
 
+/** One scheduled throttle action of a CoreCase's control hook. */
+struct CoreControlStep
+{
+    uint64_t cycle = 0; ///< recorded cycle the hook acts on
+    bool release = false;
+    ThrottleMode mode = ThrottleMode::None; ///< engaged when !release
+    uint32_t level = 1;                     ///< Proportional issue cap
+};
+
+/**
+ * A generated timing-core case: a program (a GaGenerator::randomBody
+ * loop or a short makeLongWorkload), random CoreParams with any
+ * ThrottleMode as the base mode, a cycle budget, and a control
+ * schedule that engages every pulsed mode (Proportional at several
+ * levels) and releases it. Shape classes cover 1-entry ROB, IQ, fetch
+ * queue and store buffer, warmupCycles 0, zero ALU/mul/div latencies,
+ * one-MSHR caches, loads that forward from store-buffer entries behind
+ * its head, and programs that end before max_cycles (including
+ * max_cycles = UINT64_MAX).
+ */
+struct CoreCase
+{
+    Program program;
+    CoreParams params;
+    uint64_t maxCycles = 0;
+    std::vector<CoreControlStep> control; ///< ascending cycles
+    std::string shape;
+};
+
+CoreCase makeCoreCase(uint64_t seed);
+
 } // namespace apollo::harness
 
 #endif // APOLLO_TESTS_HARNESS_CASE_GEN_HH

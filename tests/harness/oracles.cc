@@ -38,6 +38,7 @@
 #include "util/popcnt_kernels.hh"
 #include "control/droop_controller.hh"
 #include "ref/reference_control.hh"
+#include "ref/reference_core.hh"
 #include "ref/reference_ga.hh"
 #include "ref/reference_kernels.hh"
 #include "ref/reference_shard.hh"
@@ -1360,6 +1361,164 @@ runDroopTrigger(uint64_t seed)
                c.power.size());
 }
 
+// ---------------------------------------------------------------------
+// Timing core (flat production core vs the reference loop).
+// ---------------------------------------------------------------------
+
+/** One run's observable output: every frame and the stats. */
+struct CoreTranscript
+{
+    std::vector<ActivityFrame> frames;
+    CoreStats stats;
+};
+
+/** Run @p c through @p run, applying its control schedule. */
+template <typename Run>
+CoreTranscript
+transcribe(const CoreCase &c, Run &&run)
+{
+    CoreTranscript t;
+    size_t next = 0;
+    const FrameSink sink = [&](const ActivityFrame &f) {
+        t.frames.push_back(f);
+    };
+    const ControlHook hook = [&](const ActivityFrame &, uint64_t cycle,
+                                 Throttle &throttle) {
+        for (; next < c.control.size() && c.control[next].cycle <= cycle;
+             ++next) {
+            const CoreControlStep &step = c.control[next];
+            if (step.release)
+                throttle.release();
+            else
+                throttle.engage(step.mode, step.level);
+        }
+    };
+    t.stats = run(sink, hook);
+    return t;
+}
+
+/** Field-by-field comparison (ActivityFrame has padding bytes). */
+std::optional<std::string>
+compareCoreRuns(const CoreTranscript &prod, const CoreTranscript &want,
+                const std::string &shape)
+{
+    const CoreStats &a = prod.stats;
+    const CoreStats &b = want.stats;
+    const uint64_t pa[] = {a.cycles,    a.retiredOps, a.branches,
+                           a.mispredicts, a.l1iMisses, a.l1dMisses,
+                           a.l2Misses};
+    const uint64_t pb[] = {b.cycles,    b.retiredOps, b.branches,
+                           b.mispredicts, b.l1iMisses, b.l1dMisses,
+                           b.l2Misses};
+    static const char *kStat[] = {"cycles",    "retiredOps", "branches",
+                                  "mispredicts", "l1iMisses", "l1dMisses",
+                                  "l2Misses"};
+    for (size_t i = 0; i < std::size(pa); ++i)
+        if (pa[i] != pb[i])
+            return fmt("shape=%s: stats.%s prod=%llu ref=%llu",
+                       shape.c_str(), kStat[i],
+                       static_cast<unsigned long long>(pa[i]),
+                       static_cast<unsigned long long>(pb[i]));
+    if (prod.frames.size() != want.frames.size())
+        return fmt("shape=%s: %zu frames, ref %zu", shape.c_str(),
+                   prod.frames.size(), want.frames.size());
+    for (size_t i = 0; i < prod.frames.size(); ++i) {
+        const ActivityFrame &f = prod.frames[i];
+        const ActivityFrame &g = want.frames[i];
+        if (f.cycle != g.cycle)
+            return fmt("shape=%s: frame %zu cycle prod=%llu ref=%llu",
+                       shape.c_str(), i,
+                       static_cast<unsigned long long>(f.cycle),
+                       static_cast<unsigned long long>(g.cycle));
+        for (size_t u = 0; u < numUnits; ++u) {
+            if (std::bit_cast<uint32_t>(f.activity[u]) !=
+                    std::bit_cast<uint32_t>(g.activity[u]) ||
+                std::bit_cast<uint32_t>(f.dataToggle[u]) !=
+                    std::bit_cast<uint32_t>(g.dataToggle[u]) ||
+                f.clockEnabled[u] != g.clockEnabled[u])
+                return fmt("shape=%s: frame %zu unit %s: prod act=%a "
+                           "data=%a en=%d, ref act=%a data=%a en=%d",
+                           shape.c_str(), i,
+                           unitName(static_cast<UnitId>(u)),
+                           static_cast<double>(f.activity[u]),
+                           static_cast<double>(f.dataToggle[u]),
+                           f.clockEnabled[u],
+                           static_cast<double>(g.activity[u]),
+                           static_cast<double>(g.dataToggle[u]),
+                           g.clockEnabled[u]);
+        }
+    }
+    return std::nullopt;
+}
+
+std::optional<std::string>
+checkCoreCase(const CoreCase &c)
+{
+    const CoreTranscript prod = transcribe(
+        c, [&](const FrameSink &sink, const ControlHook &hook) {
+            return TimingCore(c.params).run(c.program, c.maxCycles, sink,
+                                            hook);
+        });
+    const CoreTranscript want = transcribe(
+        c, [&](const FrameSink &sink, const ControlHook &hook) {
+            return ref::coreRun(c.params, c.program, c.maxCycles, sink,
+                                hook);
+        });
+    return compareCoreRuns(
+        prod, want,
+        c.shape + fmt("+throttle=%d+steps=%zu",
+                      static_cast<int>(c.params.throttle),
+                      c.control.size()));
+}
+
+std::optional<std::string>
+runCoreFrames(uint64_t seed)
+{
+    CoreCase c = makeCoreCase(seed);
+    std::optional<std::string> detail = checkCoreCase(c);
+    if (!detail)
+        return std::nullopt;
+
+    const std::function<bool(const CoreCase &)> stillFails =
+        [](const CoreCase &trial) {
+            return checkCoreCase(trial).has_value();
+        };
+    const std::vector<std::function<bool(CoreCase &)>> mutators = {
+        [](CoreCase &trial) { // halve the budget
+            if (trial.maxCycles <= 1 || trial.maxCycles > (1u << 20))
+                return false;
+            trial.maxCycles /= 2;
+            return true;
+        },
+        [](CoreCase &trial) { // drop the control schedule
+            if (trial.control.empty())
+                return false;
+            trial.control.clear();
+            return true;
+        },
+        [](CoreCase &trial) { // no base throttle
+            if (trial.params.throttle == ThrottleMode::None)
+                return false;
+            trial.params.throttle = ThrottleMode::None;
+            return true;
+        },
+        [](CoreCase &trial) { // no warm-up
+            if (trial.params.warmupCycles == 0)
+                return false;
+            trial.params.warmupCycles = 0;
+            return true;
+        },
+    };
+    c = shrinkCase(std::move(c), stillFails, mutators);
+    detail = checkCoreCase(c);
+    if (!detail)
+        return fmt("shape=%s: shrink lost the failure", c.shape.c_str());
+    return fmt("%s [shrunk to max_cycles=%llu, %zu control steps]",
+               detail->c_str(),
+               static_cast<unsigned long long>(c.maxCycles),
+               c.control.size());
+}
+
 } // namespace
 
 const std::vector<OracleEntry> &
@@ -1386,6 +1545,7 @@ oracleRegistry()
         {"gen.ga_pipeline", runGaPipeline},
         {"trace.dataset_build", runDatasetBuild},
         {"control.droop_trigger", runDroopTrigger},
+        {"uarch.core_frames", runCoreFrames},
     };
     return registry;
 }

@@ -295,7 +295,8 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
           "apollo.stream.cycles", "apollo.activity.programs",
           "apollo.activity.cycles", "apollo.activity.datasets_built",
           "apollo.opm.quantizations", "apollo.opm.simulations",
-          "apollo.opm.windows", "apollo.flow.runs"}) {
+          "apollo.opm.windows", "apollo.flow.runs",
+          "apollo.uarch.runs", "apollo.uarch.cycles"}) {
         const auto it = counters.find(name);
         ASSERT_NE(it, counters.end()) << "missing counter: " << name;
         EXPECT_GT(it->second, 0u) << name;
@@ -305,7 +306,8 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
     EXPECT_TRUE(balancedJson(snapshot));
     for (const char *prefix :
          {"apollo.solver.", "apollo.ga.", "apollo.stream.",
-          "apollo.activity.", "apollo.opm.", "apollo.flow."})
+          "apollo.activity.", "apollo.opm.", "apollo.flow.",
+          "apollo.uarch."})
         EXPECT_NE(snapshot.find(prefix), std::string::npos)
             << "snapshot lacks subsystem " << prefix;
 
@@ -317,7 +319,7 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
     for (const char *span :
          {"flow.ga_run", "ga.generation", "trace.build",
           "trace.fill_columns", "trace.label_pass", "flow.simulate",
-          "stream.run", "control.truth_power"})
+          "stream.run", "control.truth_power", "uarch.run"})
         EXPECT_NE(trace_json.find(span), std::string::npos)
             << "trace lacks span " << span;
 }

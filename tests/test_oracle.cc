@@ -36,7 +36,7 @@ TEST(OracleRegistry, CoversEveryProductionPath)
         "solver.shard_prefilter",
         "gen.toggle_columns",    "gen.fitness_power",
         "gen.ga_pipeline",       "control.droop_trigger",
-        "trace.dataset_build",
+        "trace.dataset_build",   "uarch.core_frames",
     };
     std::vector<std::string> actual;
     for (const OracleEntry &e : oracleRegistry())

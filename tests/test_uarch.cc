@@ -2,12 +2,18 @@
  * @file
  * Unit tests for the microarchitectural substrate: cache hierarchy,
  * branch predictor, throttling, and the timing core's behaviour
- * (IPC ranges, miss behaviour, clock gating, activity frames).
+ * (IPC ranges, miss behaviour, clock gating, activity frames), plus
+ * the flat core against ref::coreRun on whole workloads (UarchCore).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
+#include "flow/flows.hh"
 #include "gen/test_suite.hh"
+#include "ref/reference_core.hh"
 #include "uarch/branch_predictor.hh"
 #include "uarch/cache.hh"
 #include "uarch/core.hh"
@@ -267,6 +273,24 @@ TEST(TimingCore, RespectsMaxCycleCap)
     EXPECT_EQ(stats.cycles, 500u);
 }
 
+TEST(TimingCore, MaxCyclesNearUint64MaxRunsToProgramEnd)
+{
+    // warmupCycles + max_cycles must saturate, not wrap to a cap below
+    // the warm-up (which recorded nothing).
+    const Program prog = makeLongWorkload("cap", 3000, 5);
+    TimingCore core;
+    auto count = [&](uint64_t max_cycles) {
+        return core.run(prog, max_cycles, [](const ActivityFrame &) {})
+            .cycles;
+    };
+    const uint64_t to_end = count(uint64_t{1} << 40);
+    EXPECT_GT(to_end, 3000u);
+    EXPECT_LT(to_end, uint64_t{1} << 40);
+    EXPECT_EQ(count(std::numeric_limits<uint64_t>::max()), to_end);
+    EXPECT_EQ(count(std::numeric_limits<uint64_t>::max() - 1), to_end);
+    EXPECT_EQ(count(std::numeric_limits<uint64_t>::max() - 300), to_end);
+}
+
 TEST(TestSuite, TableFourShape)
 {
     const auto suite = designerTestSuite();
@@ -285,6 +309,79 @@ TEST(TestSuite, TableFourShape)
             core.run(tb.program, tb.cycles, [](const ActivityFrame &) {});
         EXPECT_EQ(stats.cycles, tb.cycles) << tb.program.name();
     }
+}
+
+/** The production core against ref::coreRun: every frame field and
+ *  every CoreStats counter, exactly. */
+void
+expectMatchesReference(const CoreParams &params, const Program &prog,
+                       uint64_t max_cycles)
+{
+    std::vector<ActivityFrame> got;
+    std::vector<ActivityFrame> want;
+    const CoreStats a = TimingCore(params).run(
+        prog, max_cycles,
+        [&](const ActivityFrame &f) { got.push_back(f); });
+    const CoreStats b = ref::coreRun(
+        params, prog, max_cycles,
+        [&](const ActivityFrame &f) { want.push_back(f); });
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.retiredOps, b.retiredOps);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
+    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        const ActivityFrame &f = got[i];
+        const ActivityFrame &g = want[i];
+        ASSERT_EQ(f.cycle, g.cycle) << "frame " << i;
+        for (size_t u = 0; u < numUnits; ++u) {
+            ASSERT_EQ(std::bit_cast<uint32_t>(f.activity[u]),
+                      std::bit_cast<uint32_t>(g.activity[u]))
+                << "frame " << i << " unit " << u;
+            ASSERT_EQ(std::bit_cast<uint32_t>(f.dataToggle[u]),
+                      std::bit_cast<uint32_t>(g.dataToggle[u]))
+                << "frame " << i << " unit " << u;
+            ASSERT_EQ(f.clockEnabled[u], g.clockEnabled[u])
+                << "frame " << i << " unit " << u;
+        }
+    }
+}
+
+TEST(UarchCore, DesignerSuiteMatchesReference)
+{
+    for (const TestBenchmark &tb : designerTestSuite()) {
+        SCOPED_TRACE(tb.program.name());
+        CoreParams params;
+        params.throttle = tb.throttle;
+        expectMatchesReference(params, tb.program, tb.cycles);
+    }
+}
+
+TEST(UarchCore, LongWorkloadsMatchReference)
+{
+    // bench/e2e's four emulate_long programs (seed 1), first 100k cycles.
+    for (uint64_t i = 0; i < 4; ++i) {
+        const Program prog = makeLongWorkload(
+            "long" + std::to_string(i), 1'000'000, 0x10119 + i);
+        SCOPED_TRACE(prog.name());
+        expectMatchesReference(CoreParams::defaults(), prog, 100'000);
+    }
+}
+
+TEST(UarchCore, ProgramEndingBeforeMaxCyclesMatchesReference)
+{
+    const Program prog = Program::makeLoop(
+        "short", {add(0, 1, 2), mul(3, 0, 0), ldr(4, 30, 64),
+                  str(4, 30, 64), vfma(1, 2, 3)},
+        40, 11);
+    const CoreStats stats =
+        TimingCore().run(prog, 1'000'000, [](const ActivityFrame &) {});
+    EXPECT_GT(stats.cycles, 0u);
+    EXPECT_LT(stats.cycles, 1'000'000u);
+    expectMatchesReference(CoreParams::defaults(), prog, 1'000'000);
 }
 
 } // namespace

@@ -69,6 +69,16 @@ class Args
                                    : std::stol(it->second);
     }
 
+    /** A count flag (cycles, benchmarks, ...): must be at least 1. */
+    long
+    getCount(const std::string &key, long fallback) const
+    {
+        const long v = getInt(key, fallback);
+        if (v <= 0)
+            fatal("--", key, " must be a positive count, got ", v);
+        return v;
+    }
+
     bool
     getBool(const std::string &key) const
     {
@@ -98,9 +108,9 @@ cmdGenData(const Args &args)
     const Netlist netlist =
         DesignBuilder::build(designByName(args.get("design", "tiny")));
     const auto n_benchmarks =
-        static_cast<size_t>(args.getInt("benchmarks", 30));
+        static_cast<size_t>(args.getCount("benchmarks", 30));
     const auto cycles =
-        static_cast<uint64_t>(args.getInt("cycles", 400));
+        static_cast<uint64_t>(args.getCount("cycles", 400));
     const std::string out = args.get("out", "train.apds");
 
     DatasetBuilder builder(netlist);
@@ -108,9 +118,9 @@ cmdGenData(const Args &args)
         std::fprintf(stderr, "running the GA generator...\n");
         TrainingGenOptions opts;
         opts.ga.populationSize =
-            static_cast<uint32_t>(args.getInt("population", 24));
+            static_cast<uint32_t>(args.getCount("population", 24));
         opts.ga.generations =
-            static_cast<uint32_t>(args.getInt("generations", 8));
+            static_cast<uint32_t>(args.getCount("generations", 8));
         opts.ga.fitnessSignalStride = 4;
         opts.benchmarks = n_benchmarks;
         opts.cyclesEach = cycles;
@@ -257,13 +267,13 @@ cmdOpm(const Args &args)
 int
 cmdTrace(const Args &args)
 {
+    const auto cycles =
+        static_cast<uint64_t>(args.getCount("cycles", 100000));
     std::ifstream is(args.get("model", "model.txt"));
     APOLLO_REQUIRE(is.is_open(), "cannot open model file");
     const ApolloModel model = ApolloModel::load(is);
     const Netlist netlist =
         DesignBuilder::build(designByName(args.get("design", "tiny")));
-    const auto cycles =
-        static_cast<uint64_t>(args.getInt("cycles", 100000));
 
     DesignTimeFlows flows(netlist);
     const Program workload = makeLongWorkload(
@@ -299,7 +309,7 @@ cmdDroopLab(const Args &args)
         DesignBuilder::build(designByName(args.get("design", "tiny")));
 
     control::DroopLabConfig cfg = control::defaultDroopLabConfig(
-        static_cast<uint64_t>(args.getInt("cycles", 3000)));
+        static_cast<uint64_t>(args.getCount("cycles", 3000)));
     cfg.threads = static_cast<uint32_t>(args.getInt("threads", 0));
     const std::string pctl = args.get("percentile");
     if (!pctl.empty())

@@ -6,6 +6,7 @@
 #                        hardware threads) vs the src/ref fitness pass
 #   BENCH_serve.json   — multi-session serving grid (sessions x threads)
 #   BENCH_control.json — closed-loop droop-mitigation lab Pareto sweep
+#   BENCH_uarch.json   — flat timing core vs the src/ref core loop
 # Usage: tools/run_benches.sh [--smoke] [extra bench args...]
 #
 # Environment:
@@ -30,7 +31,7 @@ cmake -B "$BUILD_DIR" -S . "${cmake_flags[@]}"
 cmake --build "$BUILD_DIR" -j --target bench_perf_solver \
     --target bench_stream_infer --target bench_perf_ga \
     --target bench_obs_overhead --target bench_serve \
-    --target bench_droop_lab
+    --target bench_droop_lab --target bench_perf_uarch
 
 # Full recordings include the paper-scale out-of-core phase (M=500k
 # sharded selection: RSS bound + shard/thread identity grid). Smoke
@@ -61,6 +62,9 @@ echo "BENCH_serve.json updated"
 
 "$BUILD_DIR"/bench/bench_droop_lab --out=BENCH_control.json "$@"
 echo "BENCH_control.json updated"
+
+"$BUILD_DIR"/bench/bench_perf_uarch --out=BENCH_uarch.json "$@"
+echo "BENCH_uarch.json updated"
 
 # Closed-loop droop-lab guard: re-run through ctest so the perf label
 # stays green on the same tree (coverage + dominance + thread-count

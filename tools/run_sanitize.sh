@@ -54,15 +54,17 @@ elif [[ "$SANITIZER" == "tsan" ]]; then
     # row-blocked toggle-column driver (block workers write disjoint
     # 64-row words of shared columns; ToggleKernels drives it next to
     # each kernel's own generator), the sharded screen/solve (mmap
-    # readers fanned over the worker pool), and the droop lab's
-    # scenario fan-out.
+    # readers fanned over the worker pool), the droop lab's scenario
+    # fan-out, and the flat timing core against its reference (GA
+    # fitness and the droop lab run it on pool threads).
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab'
+        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab'
 else
-    # Streaming + serving suites plus the differential-oracle layer
-    # (label "oracle": every production path vs its reference under
-    # ASan+UBSan) and the corpus-replay fuzz drivers (label "fuzz").
-    suites='SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+    # Streaming + serving suites, the flat timing core's ring indexing
+    # (UarchCore), plus the differential-oracle layer (label "oracle":
+    # every production path vs its reference under ASan+UBSan) and the
+    # corpus-replay fuzz drivers (label "fuzz").
+    suites='SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
     # The same suites on the portable kernels: ASan does not check
