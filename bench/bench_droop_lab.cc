@@ -3,13 +3,17 @@
  * Quality/perf guard for the closed-loop droop-mitigation lab
  * (src/control, §7/§8.2). Runs the default {workload} x {tau} x {B} x
  * {policy} x {PDN} grid through the real OPM -> throttle loop on a
- * tiny trained design and records the Pareto summary plus obs counter
- * deltas to BENCH_control.json. Gates:
+ * tiny trained design and records the Pareto summary, the lab's stage
+ * times (simulate, calibrate, truth, assemble: the obs trace spans of
+ * one sweep), its truth-power runs and dedupe hits, and obs counter
+ * deltas to BENCH_control.json, headed by the host and build. Gates:
  *   - coverage: every grid cell produces a row,
  *   - dominance: some OPM-guided policy strictly reduces droop cycles
  *     at under 10% IPC loss,
  *   - determinism: the report is byte-identical when re-run on a
- *     different thread count.
+ *     different thread count,
+ *   - reference: the report equals ref::droopLabPerCell's, which runs
+ *     and scores every baseline and cell on its own.
  * Usage: bench_droop_lab [--smoke] [--cycles=N] [--out=PATH]
  */
 
@@ -18,8 +22,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "common.hh"
+#include "obs/trace.hh"
+#include "ref/reference_control.hh"
 
 using namespace apollo;
 using namespace apollo::bench;
@@ -54,6 +61,41 @@ trainTinyModel(const Netlist &netlist)
     return trainApollo(tb.build(), cfg, "tiny").model;
 }
 
+/** Seconds per lab stage, summed from one sweep's trace spans. */
+struct StageTimes
+{
+    double simulate = 0.0;
+    double calibrate = 0.0;
+    double truth = 0.0;
+    double assemble = 0.0;
+};
+
+/** Sum the durations of the stage spans in a trace_event document. */
+StageTimes
+stageTimes(const std::string &trace_json)
+{
+    StageTimes t;
+    const std::pair<const char *, double *> stages[] = {
+        {"control.simulate", &t.simulate},
+        {"control.calibrate", &t.calibrate},
+        {"control.truth_batch", &t.truth},
+        {"control.assemble", &t.assemble},
+    };
+    std::istringstream is(trace_json);
+    std::string line;
+    while (std::getline(is, line)) {
+        const size_t dur = line.find("\"dur\": ");
+        if (dur == std::string::npos)
+            continue;
+        for (const auto &[name, total] : stages)
+            if (line.find(std::string("\"name\": \"") + name + "\"") !=
+                std::string::npos)
+                *total += 1e-6 * std::strtod(line.c_str() + dur + 7,
+                                             nullptr);
+    }
+    return t;
+}
+
 } // namespace
 
 int
@@ -83,25 +125,53 @@ main(int argc, char **argv)
 
     const auto before = obsCounters();
     const DroopLabConfig cfg = defaultDroopLabConfig(cycles);
+    obs::TraceCollector &trace = obs::TraceCollector::instance();
+    trace.clear();
+    trace.setEnabled(true);
     const double t0 = nowSeconds();
     StatusOr<DroopLabReport> report = runDroopLab(netlist, model, cfg);
     const double seconds = nowSeconds() - t0;
+    trace.setEnabled(false);
+    const StageTimes stages = stageTimes(trace.flushJson());
     if (!report.ok()) {
         std::fprintf(stderr, "FAIL: %s\n",
                      report.status().toString().c_str());
         return 1;
     }
+    const std::string obs_json = obsDeltaJson(before);
+    const auto counters = obsCounters();
+    auto delta = [&](const char *name) {
+        const auto now = counters.find(name);
+        const auto then = before.find(name);
+        return (now == counters.end() ? 0 : now->second) -
+               (then == before.end() ? 0 : then->second);
+    };
+    const uint64_t truth_runs = delta("apollo.control.truth_runs");
+    const uint64_t truth_dedup = delta("apollo.control.truth_dedup");
     report->render(std::cout);
-    std::printf("  lab wall-clock: %.3fs\n", seconds);
+    std::printf("  lab wall-clock: %.3fs (simulate %.3fs, calibrate "
+                "%.3fs, truth %.3fs, assemble %.3fs)\n",
+                seconds, stages.simulate, stages.calibrate, stages.truth,
+                stages.assemble);
+    std::printf("  truth power: %llu runs scored, %llu dedupe hits\n",
+                static_cast<unsigned long long>(truth_runs),
+                static_cast<unsigned long long>(truth_dedup));
 
     const std::string report_json = report->toJson();
     std::ofstream os(out);
     os << "{\n";
+    os << "  \"host\": " << hostJson() << ",\n";
     os << "  \"bench\": \"droop_lab\",\n";
     os << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
     os << "  \"cycles\": " << cycles << ",\n";
     os << "  \"seconds\": " << seconds << ",\n";
-    os << "  \"obs\": " << obsDeltaJson(before) << ",\n";
+    os << "  \"stages\": {\"simulate_seconds\": " << stages.simulate
+       << ", \"calibrate_seconds\": " << stages.calibrate
+       << ", \"truth_seconds\": " << stages.truth
+       << ", \"assemble_seconds\": " << stages.assemble << "},\n";
+    os << "  \"truth_runs\": " << truth_runs << ",\n";
+    os << "  \"truth_dedup\": " << truth_dedup << ",\n";
+    os << "  \"obs\": " << obs_json << ",\n";
     os << "  \"report\": " << report_json << "\n";
     os << "}\n";
     std::printf("wrote %s\n", out.c_str());
@@ -130,6 +200,15 @@ main(int argc, char **argv)
                      "counts\n");
         return 1;
     }
-    std::printf("gates passed: coverage, dominance, determinism\n");
+    // Gate 4: equal to every baseline and cell run and scored alone.
+    const StatusOr<DroopLabReport> per_cell =
+        ref::droopLabPerCell(netlist, model, cfg);
+    if (!per_cell.ok() || per_cell->toJson() != report_json) {
+        std::fprintf(stderr,
+                     "FAIL: report differs from the per-cell reference\n");
+        return 1;
+    }
+    std::printf("gates passed: coverage, dominance, determinism, "
+                "per-cell reference\n");
     return 0;
 }

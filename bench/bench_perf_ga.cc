@@ -19,9 +19,12 @@
  * on one thread for each fused kernel implementation the host can run
  * (portable, and avx512; activity/toggle_kernels.hh) over every N1ish
  * signal and the rows of a phase_mix program (4,000 in full mode), in
- * two shapes: one whole-window bind (the truth-power shape) and 64-row
- * binds (the export shape). It reports ns per toggle bit, and the
- * time of one whole-window stride-1 FitnessEvaluator::cyclePowers.
+ * three shapes: one whole-window bind (the single-run truth-power
+ * shape), 64-row binds (the export shape), and one bind of 8 runs
+ * with shared cycle stamps, 8 phase_mix seeds filled by one kernel
+ * pass per signal (the batched truth-power shape). It reports ns per
+ * toggle bit, and the time of one whole-window stride-1
+ * FitnessEvaluator::cyclePowers.
  *
  * Gates (exit 1 with a FAIL: line):
  *  (a) both rows produce the same per-generation best/worst fitness
@@ -36,9 +39,10 @@
  *      training selection; the best row is `all` on a multicore host
  *      and `serial` on a single-core one, where `all` only adds pool
  *      overhead;
- *  (d) in both ablation shapes, every implementation's columns equal
- *      the dispatched implementation's word for word (smoke mode
- *      too).
+ *  (d) in the two single-run ablation shapes, every implementation's
+ *      columns equal the dispatched implementation's word for word,
+ *      and in the 8-run shape each run's columns equal its own
+ *      single-run fill (smoke mode too).
  *
  * Dataset materialization (DatasetBuilder::build: every signal's
  * toggle columns, then the oracle label pass) is reported but not
@@ -255,8 +259,12 @@ struct KernelRun
     togglekernels::Impl impl = togglekernels::Impl::Portable;
     double windowNsPerBit = 1e300;
     double blockNsPerBit = 1e300;
-    /** Both shapes equal the dispatched kernel's, word for word. */
+    double bind8NsPerBit = 1e300;
+    /** Both single-run shapes equal the dispatched kernel's, word for
+     *  word. */
     bool matchesDispatched = true;
+    /** Each run of the 8-run bind equals its own single-run fill. */
+    bool bind8MatchesSingle = true;
 };
 
 struct KernelAblation
@@ -269,7 +277,7 @@ struct KernelAblation
     bool identical() const
     {
         for (const KernelRun &r : runs)
-            if (!r.matchesDispatched)
+            if (!r.matchesDispatched || !r.bind8MatchesSingle)
                 return false;
         return !runs.empty();
     }
@@ -301,6 +309,37 @@ fillAllColumns(const ActivityEngine &engine,
     return secondsBetween(t0, Clock::now());
 }
 
+/** Runs bound at once in the ablation's shared-draw shape. */
+constexpr size_t kAblationBindings = 8;
+
+/**
+ * Every signal's column of every run in @p runs (equal lengths) with
+ * @p impl from one multi-run bind, run-major (run r's columns from
+ * r * signals * words). Returns the seconds the fills took.
+ */
+double
+fillAllBindings(const ActivityEngine &engine,
+                const std::vector<std::vector<ActivityFrame>> &runs,
+                size_t signals, togglekernels::Impl impl,
+                std::vector<uint64_t> &cols)
+{
+    const size_t n = runs.front().size();
+    const size_t words = (n + 63) / 64;
+    cols.assign(runs.size() * signals * words, 0);
+    const std::vector<std::span<const ActivityFrame>> bound(runs.begin(),
+                                                            runs.end());
+    std::vector<uint64_t *> outs(runs.size());
+    ToggleColumnGenerator gen(engine, impl);
+    const auto t0 = Clock::now();
+    gen.bindRuns(bound, 0, n);
+    for (size_t s = 0; s < signals; ++s) {
+        for (size_t r = 0; r < runs.size(); ++r)
+            outs[r] = cols.data() + (r * signals + s) * words;
+        gen.fillColumns(static_cast<uint32_t>(s), outs.data());
+    }
+    return secondsBetween(t0, Clock::now());
+}
+
 /**
  * The toggle-kernel ablation on one thread: phase_mix frames on
  * @p netlist, every signal, each available implementation in both
@@ -319,6 +358,17 @@ runKernelAblation(const Netlist &netlist, size_t rows, int reps)
     abl.signals = netlist.signalCount();
     const double bits = static_cast<double>(abl.rows) *
                         static_cast<double>(abl.signals);
+
+    // The shared-draw shape: phase_mix under 8 data seeds, each run
+    // stamped 0, 1, 2, ... by the timing core.
+    std::vector<std::vector<ActivityFrame>> runs(kAblationBindings);
+    for (size_t r = 0; r < runs.size(); ++r) {
+        TimingCore core(builder.coreParams());
+        core.run(makeLongWorkload("phase_mix", rows, 0xd2 + r), rows,
+                 [&](const ActivityFrame &f) { runs[r].push_back(f); });
+        APOLLO_REQUIRE(runs[r].size() == abl.rows, "phase_mix seed ", r,
+                       " ran ", runs[r].size(), " of ", abl.rows, " rows");
+    }
 
     std::vector<uint64_t> want_window, want_blocks, got;
     fillAllColumns(engine, frames, abl.signals, togglekernels::bestImpl(),
@@ -344,6 +394,24 @@ runKernelAblation(const Netlist &netlist, size_t rows, int reps)
                                      true, got) / bits);
             run.matchesDispatched =
                 run.matchesDispatched && got == want_blocks;
+        }
+        // The 8-run shape after the single-run ones, in its own buffer
+        // (8x the output), so it does not evict their working set.
+        std::vector<uint64_t> multi;
+        for (int rep = 0; rep < reps; ++rep)
+            run.bind8NsPerBit = std::min(
+                run.bind8NsPerBit,
+                1e9 * fillAllBindings(engine, runs, abl.signals, impl,
+                                      multi) /
+                    (bits * static_cast<double>(runs.size())));
+        // Each run's block of the 8-run fill against its own fill.
+        for (size_t r = 0; r < runs.size(); ++r) {
+            fillAllColumns(engine, runs[r], abl.signals, impl, false, got);
+            run.bind8MatchesSingle =
+                run.bind8MatchesSingle &&
+                std::equal(got.begin(), got.end(),
+                           multi.begin() + static_cast<long>(
+                                               r * got.size()));
         }
         abl.runs.push_back(run);
     }
@@ -418,8 +486,11 @@ writeJson(const std::string &path, const char *mode,
            << togglekernels::implName(r.impl)
            << "\", \"window_ns_per_bit\": " << r.windowNsPerBit
            << ", \"block64_ns_per_bit\": " << r.blockNsPerBit
+           << ", \"bind8_ns_per_bit\": " << r.bind8NsPerBit
            << ", \"matches_dispatched\": "
-           << (r.matchesDispatched ? "true" : "false") << "}";
+           << (r.matchesDispatched ? "true" : "false")
+           << ", \"bind8_matches_single\": "
+           << (r.bind8MatchesSingle ? "true" : "false") << "}";
     }
     os << "], \"cycle_powers_seconds\": " << abl.cyclePowersSeconds
        << ", \"cycle_powers_ns_per_bit\": "
@@ -536,10 +607,11 @@ main(int argc, char **argv)
                 togglekernels::implName(togglekernels::bestImpl()));
     for (const KernelRun &r : abl.runs)
         std::printf("  %-8s window %.3f ns/bit  64-row blocks %.3f "
-                    "ns/bit%s\n",
+                    "ns/bit  %zu-run bind %.3f ns/bit%s%s\n",
                     togglekernels::implName(r.impl), r.windowNsPerBit,
-                    r.blockNsPerBit,
-                    r.matchesDispatched ? "" : "  COLUMN MISMATCH");
+                    r.blockNsPerBit, kAblationBindings, r.bind8NsPerBit,
+                    r.matchesDispatched ? "" : "  COLUMN MISMATCH",
+                    r.bind8MatchesSingle ? "" : "  BINDING MISMATCH");
     std::printf("  cyclePowers (stride 1, whole window): %.3fs\n",
                 abl.cyclePowersSeconds);
 
@@ -570,7 +642,9 @@ main(int argc, char **argv)
     if (!abl.identical()) {
         std::fprintf(stderr,
                      "FAIL: a toggle kernel's columns differ from the "
-                     "dispatched kernel's\n");
+                     "dispatched kernel's, or a run of the %zu-run bind "
+                     "from its own fill\n",
+                     kAblationBindings);
         return 1;
     }
     // Timing gate: generous in smoke mode (shared CI machines), the

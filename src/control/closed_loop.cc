@@ -34,6 +34,16 @@ ClosedLoopRunner::packProxyBits(std::span<const ActivityFrame> frames,
 StatusOr<ClosedLoopResult>
 ClosedLoopRunner::run(const Program &prog, const ClosedLoopConfig &config)
 {
+    StatusOr<ClosedLoopResult> result = simulate(prog, config);
+    if (result.ok())
+        result->truthPower = truthPower(result->frames);
+    return result;
+}
+
+StatusOr<ClosedLoopResult>
+ClosedLoopRunner::simulate(const Program &prog,
+                           const ClosedLoopConfig &config)
+{
     if (config.opmWindow == 0 || !std::has_single_bit(config.opmWindow))
         return Status::invalidArgument(
             "OPM window must be a power of two, got ", config.opmWindow);
@@ -70,7 +80,6 @@ ClosedLoopRunner::run(const Program &prog, const ClosedLoopConfig &config)
                 controller.apply(cycle, throttle);
         });
 
-    result.truthPower = truthPower(frames);
     result.triggers = controller.triggers();
     result.engagedCycles = controller.engagedCycles();
     APOLLO_COUNT("apollo.control.closed_loop_runs", 1);
@@ -102,12 +111,25 @@ std::vector<float>
 ClosedLoopRunner::truthPower(std::span<const ActivityFrame> frames)
 {
     APOLLO_TRACE_SPAN("control.truth_power");
-    FitnessEvaluator eval(netlist_, engine_, oracle_);
-    std::vector<double> powers;
-    eval.cyclePowers(frames, powers);
-    std::vector<float> out(powers.size());
-    for (size_t i = 0; i < powers.size(); ++i)
-        out[i] = static_cast<float>(powers[i]);
+    const std::span<const ActivityFrame> run[] = {frames};
+    return std::move(truthPowers(run, nullptr)[0]);
+}
+
+std::vector<std::vector<float>>
+ClosedLoopRunner::truthPowers(
+    std::span<const std::span<const ActivityFrame>> runs,
+    ThreadPool *pool) const
+{
+    APOLLO_TRACE_SPAN("control.truth_batch");
+    const FitnessEvaluator eval(netlist_, engine_, oracle_);
+    std::vector<std::vector<double>> powers;
+    const FitnessEvaluator::BatchStats stats =
+        eval.cyclePowersBatch(runs, powers, pool);
+    std::vector<std::vector<float>> out(powers.size());
+    for (size_t r = 0; r < powers.size(); ++r)
+        out[r].assign(powers[r].begin(), powers[r].end());
+    APOLLO_COUNT("apollo.control.truth_runs", stats.scored);
+    APOLLO_COUNT("apollo.control.truth_dedup", stats.duplicates);
     return out;
 }
 

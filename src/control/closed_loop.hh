@@ -11,8 +11,12 @@
  * Ground-truth per-cycle power is computed after the run from the
  * collected (throttled) frames with the finalized oracle
  * (FitnessEvaluator at stride 1), so the truth trace reflects exactly
- * the activity the controller caused. Everything is deterministic:
- * same netlist + model + program + config => bit-identical result.
+ * the activity the controller caused. run() does both steps;
+ * simulate() and truthPowers() split them, so a caller with many runs
+ * (the droop lab) can score them as one batch: the core stamps every
+ * run's frames 0, 1, 2, ..., so the runs share every draw, and
+ * identical runs are scored once. Everything is deterministic: same
+ * netlist + model + program + config => bit-identical result.
  */
 
 #ifndef APOLLO_CONTROL_CLOSED_LOOP_HH
@@ -29,6 +33,10 @@
 #include "rtl/netlist.hh"
 #include "uarch/core.hh"
 #include "util/status.hh"
+
+namespace apollo {
+class ThreadPool;
+} // namespace apollo
 
 namespace apollo::control {
 
@@ -68,10 +76,15 @@ class ClosedLoopRunner
                      const CoreParams &core_params = CoreParams::defaults(),
                      const PowerParams &power_params = PowerParams{});
 
-    /** Simulate @p prog under @p config. Not thread-safe; use one
-     *  runner per worker. */
+    /** Simulate @p prog under @p config and score its truth power
+     *  serially. Not thread-safe; use one runner per worker. */
     StatusOr<ClosedLoopResult> run(const Program &prog,
                                    const ClosedLoopConfig &config);
+
+    /** run() without the truth power: truthPower stays empty and
+     *  frames holds the run's trace. */
+    StatusOr<ClosedLoopResult> simulate(const Program &prog,
+                                        const ClosedLoopConfig &config);
 
     /**
      * OPM replay over an existing frame trace (no core, no controller):
@@ -83,6 +96,17 @@ class ClosedLoopRunner
 
     /** Finalized-oracle per-cycle power of an arbitrary frame trace. */
     std::vector<float> truthPower(std::span<const ActivityFrame> frames);
+
+    /**
+     * truthPower of several traces scored as one batch on @p pool
+     * (nullptr: serially). Every trace's frame at a row must carry the
+     * same cycle stamp, as simulate() produces. Counts the scored
+     * traces (apollo.control.truth_runs) and those that copied an
+     * identical earlier trace's powers (apollo.control.truth_dedup).
+     */
+    std::vector<std::vector<float>>
+    truthPowers(std::span<const std::span<const ActivityFrame>> runs,
+                ThreadPool *pool) const;
 
   private:
     void packProxyBits(std::span<const ActivityFrame> frames, size_t i,

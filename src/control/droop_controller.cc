@@ -1,6 +1,7 @@
 #include "control/droop_controller.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
@@ -9,14 +10,15 @@ namespace apollo::control {
 Status
 DroopControllerConfig::validate() const
 {
-    if (vdd <= 0.0)
-        return Status::invalidArgument("controller vdd must be positive, got ",
-                                       vdd);
+    if (!(vdd > 0.0) || !std::isfinite(vdd))
+        return Status::invalidArgument(
+            "controller vdd must be positive and finite, got ", vdd);
     if (policy == ThrottleMode::None)
         return Status::okStatus();
-    if (triggerDelta <= 0.0)
+    if (!(triggerDelta > 0.0) || !std::isfinite(triggerDelta))
         return Status::invalidArgument(
-            "controller trigger delta must be positive, got ", triggerDelta);
+            "controller trigger delta must be positive and finite, got ",
+            triggerDelta);
     if (engageCycles == 0)
         return Status::invalidArgument(
             "controller engage window must be at least 1 cycle");

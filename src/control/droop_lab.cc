@@ -112,9 +112,10 @@ DroopLabConfig::validate() const
         return Status::invalidArgument(
             "droop lab needs at least one workload, window, bits "
             "setting, policy, and PDN variant");
-    if (vdd <= 0.0)
-        return Status::invalidArgument("vdd must be positive, got ", vdd);
-    if (triggerPercentile <= 0.0 || triggerPercentile >= 1.0)
+    if (!(vdd > 0.0) || !std::isfinite(vdd))
+        return Status::invalidArgument(
+            "vdd must be positive and finite, got ", vdd);
+    if (!(triggerPercentile > 0.0 && triggerPercentile < 1.0))
         return Status::invalidArgument(
             "trigger percentile must be in (0, 1), got ",
             triggerPercentile);
@@ -124,6 +125,10 @@ DroopLabConfig::validate() const
     if (proportionalLevel == 0)
         return Status::invalidArgument(
             "proportional level must be at least 1");
+    if (threads > kMaxWorkerThreads)
+        return Status::invalidArgument("droop lab threads must be at most ",
+                                       kMaxWorkerThreads, ", got ",
+                                       threads);
     for (uint32_t w : windows)
         if (w == 0 || !std::has_single_bit(w))
             return Status::invalidArgument(
@@ -138,13 +143,25 @@ DroopLabConfig::validate() const
             return Status::invalidArgument(
                 "workload '", w.name, "' needs at least 4 cycles");
     for (const PdnScenario &p : pdns) {
-        if (p.thresholdFrac <= 0.0 || p.thresholdFrac >= 1.0)
+        if (!(p.thresholdFrac > 0.0 && p.thresholdFrac < 1.0))
             return Status::invalidArgument(
                 "PDN '", p.name, "': threshold fraction must be in "
                 "(0, 1), got ", p.thresholdFrac);
-        if (p.rStaticVolts < 0.0 || p.dynamicGainVolts < 0.0)
+        if (!(p.rStaticVolts >= 0.0) || !(p.dynamicGainVolts >= 0.0) ||
+            !std::isfinite(p.rStaticVolts) ||
+            !std::isfinite(p.dynamicGainVolts))
             return Status::invalidArgument(
-                "PDN '", p.name, "': gains must be non-negative");
+                "PDN '", p.name, "': gains must be non-negative and "
+                "finite");
+        if (!(p.resonancePeriodCycles > 0.0) ||
+            !std::isfinite(p.resonancePeriodCycles))
+            return Status::invalidArgument(
+                "PDN '", p.name, "': resonance period must be positive "
+                "and finite, got ", p.resonancePeriodCycles);
+        if (!std::isfinite(p.damping))
+            return Status::invalidArgument("PDN '", p.name,
+                                           "': damping must be finite, got ",
+                                           p.damping);
     }
     return Status::okStatus();
 }
@@ -242,189 +259,65 @@ DroopLabReport::toJson() const
     return json;
 }
 
-StatusOr<DroopLabReport>
-runDroopLab(const Netlist &netlist, const ApolloModel &model,
-            const DroopLabConfig &config)
+DroopLabReport
+assembleDroopLabReport(const DroopLabConfig &config,
+                       std::span<const ClosedLoopResult> baselines,
+                       std::span<const double> triggers,
+                       std::span<const ClosedLoopResult> cells)
 {
-    if (Status st = config.validate(); !st.ok())
-        return st;
-    APOLLO_TRACE_SPAN("flow.droop_lab");
-    APOLLO_SCOPED_TIMER("apollo.flow.droop_lab_seconds");
-
-    // Quantize once per bits setting; every cell shares the result.
-    std::vector<QuantizedModel> qmodels;
-    qmodels.reserve(config.bits.size());
-    for (uint32_t b : config.bits) {
-        StatusOr<QuantizedModel> qm = tryQuantizeModel(model, b);
-        if (!qm.ok())
-            return qm.status();
-        qmodels.push_back(std::move(*qm));
-    }
-
     const size_t n_w = config.workloads.size();
     const size_t n_t = config.windows.size();
     const size_t n_b = config.bits.size();
     const size_t n_p = config.policies.size();
+    const size_t n_cells = n_w * n_t * n_b * n_p;
+    APOLLO_REQUIRE(baselines.size() == n_w &&
+                       triggers.size() == n_w * n_t * n_b &&
+                       cells.size() == n_cells,
+                   "droop lab report: ", baselines.size(), " baselines, ",
+                   triggers.size(), " triggers and ", cells.size(),
+                   " cells for a ", n_cells, "-cell grid");
 
-    std::unique_ptr<ThreadPool> local;
-    ThreadPool &pool = selectPool(config.threads, local);
+    // Per-cell Fig. 17 Pearson of estimated vs truth Delta-I.
+    std::vector<double> pearson(n_cells, 0.0);
+    for (size_t i = 0; i < n_cells; ++i)
+        if (cells[i].truthPower.size() >= 4)
+            pearson[i] = analyzeDidt(cells[i].truthPower,
+                                     cells[i].estPower, config.vdd)
+                             .pearsonDeltaI;
 
-    // Stage A: one unthrottled baseline per workload — the frames,
-    // truth power, and IPC every other stage is scored against.
-    struct Baseline
-    {
-        ClosedLoopResult res;
-        double meanCurrent = 0.0;
-    };
-    std::vector<Baseline> baselines(n_w);
-    std::vector<Status> errors(n_w, Status::okStatus());
-    pool.parallelFor(n_w, [&](size_t i0, size_t i1) {
-        for (size_t w = i0; w < i1; ++w) {
-            const DroopLabWorkload &wl = config.workloads[w];
-            ClosedLoopRunner runner(netlist, qmodels[0],
-                                    config.coreParams,
-                                    config.powerParams);
-            ClosedLoopConfig c;
-            c.opmWindow = config.windows[0];
-            c.maxCycles = wl.cycles;
-            c.controller.vdd = config.vdd;
-            c.controller.policy = ThrottleMode::None;
-            StatusOr<ClosedLoopResult> res = runner.run(wl.program, c);
-            if (!res.ok()) {
-                errors[w] = res.status();
-                continue;
-            }
-            if (res->truthPower.size() < 4) {
-                errors[w] = Status::invalidArgument(
-                    "workload '", wl.name, "' produced only ",
-                    res->truthPower.size(),
-                    " recorded cycles; the lab needs at least 4");
-                continue;
-            }
-            Baseline &b = baselines[w];
-            b.res = std::move(*res);
-            double sum = 0.0;
-            for (float p : b.res.truthPower)
-                sum += p;
-            b.meanCurrent = sum /
-                (static_cast<double>(b.res.truthPower.size()) *
-                 config.vdd);
-        }
-    });
-    if (Status st = firstError(errors); !st.ok())
-        return st;
-
-    // Stage B: per (workload, tau, B) — replay the OPM over the
-    // baseline frames and calibrate the trigger as the configured
-    // percentile of estimated |Delta-I| (the §8.2 precursor cut).
-    struct Calibration
-    {
-        double trigger = 0.0;
-    };
-    const size_t n_wtb = n_w * n_t * n_b;
-    std::vector<Calibration> calib(n_wtb);
-    pool.parallelFor(n_wtb, [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-            const size_t w = i / (n_t * n_b);
-            const size_t t = (i / n_b) % n_t;
-            const size_t b = i % n_b;
-            ClosedLoopRunner runner(netlist, qmodels[b],
-                                    config.coreParams,
-                                    config.powerParams);
-            const std::vector<float> est = runner.replayEstimate(
-                baselines[w].res.frames, config.windows[t]);
-            const std::vector<double> di =
-                deltaI(currentFromPower(est, config.vdd));
-            std::vector<double> mags;
-            mags.reserve(di.size() - 1);
-            for (size_t k = 1; k < di.size(); ++k)
-                mags.push_back(std::abs(di[k]));
-            double trigger =
-                percentileCut(mags, config.triggerPercentile);
-            // A flat estimate (coarse quantization) can cut at 0;
-            // keep the controller config valid — with no estimated
-            // rises above epsilon it still never fires.
-            if (trigger <= 0.0)
-                trigger = 1e-12;
-            calib[i].trigger = trigger;
-        }
-    });
-
-    // Stage C: the closed-loop cells (workload, tau, B, policy).
-    struct Cell
-    {
-        ClosedLoopResult res;
-        double pearson = 0.0;
-    };
-    const size_t n_cells = n_wtb * n_p;
-    std::vector<Cell> cells(n_cells);
-    std::vector<Status> cellErrors(n_cells, Status::okStatus());
-    pool.parallelFor(n_cells, [&](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-            const size_t w = i / (n_t * n_b * n_p);
-            const size_t t = (i / (n_b * n_p)) % n_t;
-            const size_t b = (i / n_p) % n_b;
-            const size_t p = i % n_p;
-            const DroopLabWorkload &wl = config.workloads[w];
-            ClosedLoopRunner runner(netlist, qmodels[b],
-                                    config.coreParams,
-                                    config.powerParams);
-            ClosedLoopConfig c;
-            c.opmWindow = config.windows[t];
-            c.maxCycles = wl.cycles;
-            c.controller.vdd = config.vdd;
-            c.controller.triggerDelta =
-                calib[(w * n_t + t) * n_b + b].trigger;
-            c.controller.triggerLatency = config.triggerLatency;
-            c.controller.engageCycles = config.engageCycles;
-            c.controller.policy = config.policies[p];
-            c.controller.proportionalLevel = config.proportionalLevel;
-            StatusOr<ClosedLoopResult> res = runner.run(wl.program, c);
-            if (!res.ok()) {
-                cellErrors[i] = res.status();
-                continue;
-            }
-            cells[i].res = std::move(*res);
-            cells[i].res.frames.clear();
-            cells[i].res.frames.shrink_to_fit();
-            if (cells[i].res.truthPower.size() >= 4)
-                cells[i].pearson =
-                    analyzeDidt(cells[i].res.truthPower,
-                                cells[i].res.estPower, config.vdd)
-                        .pearsonDeltaI;
-        }
-    });
-    if (Status st = firstError(cellErrors); !st.ok())
-        return st;
-
-    // Stage D: cross with the PDN variants (post-hoc RLC simulation on
-    // both truth traces) and assemble rows in deterministic grid order.
+    // Cross with the PDN variants (post-hoc RLC simulation on both
+    // truth traces) and assemble rows in deterministic grid order.
     DroopLabReport report;
     report.gridCells = n_cells;
     report.rows.reserve(n_cells * config.pdns.size());
     for (size_t w = 0; w < n_w; ++w) {
+        const std::vector<float> &base_truth = baselines[w].truthPower;
+        double sum = 0.0;
+        for (float p : base_truth)
+            sum += p;
+        const double mean_current =
+            sum / (static_cast<double>(base_truth.size()) * config.vdd);
         for (size_t pd = 0; pd < config.pdns.size(); ++pd) {
             const PdnScenario &scen = config.pdns[pd];
             PdnParams pdn;
             pdn.vdd = config.vdd;
             pdn.resonancePeriodCycles = scen.resonancePeriodCycles;
             pdn.damping = scen.damping;
-            pdn.rStatic = scen.rStaticVolts / baselines[w].meanCurrent;
-            pdn.dynamicGain =
-                scen.dynamicGainVolts / baselines[w].meanCurrent;
+            pdn.rStatic = scen.rStaticVolts / mean_current;
+            pdn.dynamicGain = scen.dynamicGainVolts / mean_current;
             const double threshold = config.vdd * scen.thresholdFrac;
-            const DroopSimResult base = simulateDroop(
-                baselines[w].res.truthPower, pdn, threshold);
-            const double base_ipc = baselines[w].res.stats.ipc();
+            const DroopSimResult base =
+                simulateDroop(base_truth, pdn, threshold);
+            const double base_ipc = baselines[w].stats.ipc();
 
             for (size_t t = 0; t < n_t; ++t) {
                 for (size_t b = 0; b < n_b; ++b) {
                     for (size_t p = 0; p < n_p; ++p) {
                         const size_t ci =
                             ((w * n_t + t) * n_b + b) * n_p + p;
-                        const Cell &cell = cells[ci];
+                        const ClosedLoopResult &cell = cells[ci];
                         const DroopSimResult mit = simulateDroop(
-                            cell.res.truthPower, pdn, threshold);
+                            cell.truthPower, pdn, threshold);
                         DroopLabRow row;
                         row.workload = config.workloads[w].name;
                         row.window = config.windows[t];
@@ -432,8 +325,8 @@ runDroopLab(const Netlist &netlist, const ApolloModel &model,
                         row.policy = config.policies[p];
                         row.pdn = scen.name;
                         row.triggerDelta =
-                            calib[(w * n_t + t) * n_b + b].trigger;
-                        row.pearsonDeltaI = cell.pearson;
+                            triggers[(w * n_t + t) * n_b + b];
+                        row.pearsonDeltaI = pearson[ci];
                         row.baseDroopCycles = base.droopCycles;
                         row.droopCycles = mit.droopCycles;
                         row.droopCyclesAvoided =
@@ -442,13 +335,13 @@ runDroopLab(const Netlist &netlist, const ApolloModel &model,
                         row.baseMinVoltage = base.minVoltage;
                         row.minVoltage = mit.minVoltage;
                         row.baseIpc = base_ipc;
-                        row.ipc = cell.res.stats.ipc();
+                        row.ipc = cell.stats.ipc();
                         row.ipcLossFrac =
                             base_ipc > 0.0
                                 ? (base_ipc - row.ipc) / base_ipc
                                 : 0.0;
-                        row.triggers = cell.res.triggers;
-                        row.engagedCycles = cell.res.engagedCycles;
+                        row.triggers = cell.triggers;
+                        row.engagedCycles = cell.engagedCycles;
                         report.rows.push_back(std::move(row));
                     }
                 }
@@ -478,7 +371,181 @@ runDroopLab(const Netlist &netlist, const ApolloModel &model,
             row.pareto = !dominated;
         }
     }
+    return report;
+}
 
+StatusOr<DroopLabReport>
+runDroopLab(const Netlist &netlist, const ApolloModel &model,
+            const DroopLabConfig &config)
+{
+    if (Status st = config.validate(); !st.ok())
+        return st;
+    APOLLO_TRACE_SPAN("flow.droop_lab");
+    APOLLO_SCOPED_TIMER("apollo.flow.droop_lab_seconds");
+
+    // Quantize once per bits setting; every cell shares the result.
+    std::vector<QuantizedModel> qmodels;
+    qmodels.reserve(config.bits.size());
+    for (uint32_t b : config.bits) {
+        StatusOr<QuantizedModel> qm = tryQuantizeModel(model, b);
+        if (!qm.ok())
+            return qm.status();
+        qmodels.push_back(std::move(*qm));
+    }
+
+    const size_t n_w = config.workloads.size();
+    const size_t n_t = config.windows.size();
+    const size_t n_b = config.bits.size();
+    const size_t n_p = config.policies.size();
+
+    std::unique_ptr<ThreadPool> local;
+    ThreadPool &pool = selectPool(config.threads, local);
+
+    // Stage A: simulate one unthrottled baseline per workload — the
+    // frames stage B calibrates on, and the IPC and (after its truth
+    // batch in stage C) the power every cell is scored against.
+    std::vector<ClosedLoopResult> baselines(n_w);
+    std::vector<Status> errors(n_w, Status::okStatus());
+    {
+        APOLLO_TRACE_SPAN("control.simulate");
+        pool.parallelFor(n_w, [&](size_t i0, size_t i1) {
+            for (size_t w = i0; w < i1; ++w) {
+                const DroopLabWorkload &wl = config.workloads[w];
+                ClosedLoopRunner runner(netlist, qmodels[0],
+                                        config.coreParams,
+                                        config.powerParams);
+                ClosedLoopConfig c;
+                c.opmWindow = config.windows[0];
+                c.maxCycles = wl.cycles;
+                c.controller.vdd = config.vdd;
+                c.controller.policy = ThrottleMode::None;
+                StatusOr<ClosedLoopResult> res =
+                    runner.simulate(wl.program, c);
+                if (!res.ok()) {
+                    errors[w] = res.status();
+                    continue;
+                }
+                if (res->frames.size() < 4) {
+                    errors[w] = Status::invalidArgument(
+                        "workload '", wl.name, "' produced only ",
+                        res->frames.size(),
+                        " recorded cycles; the lab needs at least 4");
+                    continue;
+                }
+                baselines[w] = std::move(*res);
+            }
+        });
+    }
+    if (Status st = firstError(errors); !st.ok())
+        return st;
+
+    // Stage B: per (workload, tau, B) — replay the OPM over the
+    // baseline frames and calibrate the trigger as the configured
+    // percentile of estimated |Delta-I| (the §8.2 precursor cut).
+    const size_t n_wtb = n_w * n_t * n_b;
+    std::vector<double> triggers(n_wtb);
+    {
+        APOLLO_TRACE_SPAN("control.calibrate");
+        pool.parallelFor(n_wtb, [&](size_t i0, size_t i1) {
+            for (size_t i = i0; i < i1; ++i) {
+                const size_t w = i / (n_t * n_b);
+                const size_t t = (i / n_b) % n_t;
+                const size_t b = i % n_b;
+                ClosedLoopRunner runner(netlist, qmodels[b],
+                                        config.coreParams,
+                                        config.powerParams);
+                const std::vector<float> est = runner.replayEstimate(
+                    baselines[w].frames, config.windows[t]);
+                const std::vector<double> di =
+                    deltaI(currentFromPower(est, config.vdd));
+                std::vector<double> mags;
+                mags.reserve(di.size() - 1);
+                for (size_t k = 1; k < di.size(); ++k)
+                    mags.push_back(std::abs(di[k]));
+                double trigger =
+                    percentileCut(mags, config.triggerPercentile);
+                // A flat estimate (coarse quantization) can cut at 0;
+                // keep the controller config valid — with no estimated
+                // rises above epsilon it still never fires.
+                if (trigger <= 0.0)
+                    trigger = 1e-12;
+                triggers[i] = trigger;
+            }
+        });
+    }
+
+    // Stage C: per (workload, tau), simulate the group's (B, policy)
+    // cells in parallel, then score their truth power as one batch
+    // (with the workload's baseline in its first group). Frames are
+    // freed after each batch, so at most one group and the baselines
+    // not yet scored hold frames.
+    const size_t group = n_b * n_p;
+    const size_t n_cells = n_wtb * n_p;
+    std::vector<ClosedLoopResult> cells(n_cells);
+    std::vector<Status> cellErrors(group, Status::okStatus());
+    const ClosedLoopRunner scorer(netlist, qmodels[0], config.coreParams,
+                                  config.powerParams);
+    for (size_t w = 0; w < n_w; ++w) {
+        const DroopLabWorkload &wl = config.workloads[w];
+        for (size_t t = 0; t < n_t; ++t) {
+            const size_t c0 = (w * n_t + t) * group;
+            {
+                APOLLO_TRACE_SPAN("control.simulate");
+                pool.parallelFor(group, [&](size_t k0, size_t k1) {
+                    for (size_t k = k0; k < k1; ++k) {
+                        const size_t b = k / n_p;
+                        const size_t p = k % n_p;
+                        ClosedLoopRunner runner(netlist, qmodels[b],
+                                                config.coreParams,
+                                                config.powerParams);
+                        ClosedLoopConfig c;
+                        c.opmWindow = config.windows[t];
+                        c.maxCycles = wl.cycles;
+                        c.controller.vdd = config.vdd;
+                        c.controller.triggerDelta =
+                            triggers[(w * n_t + t) * n_b + b];
+                        c.controller.triggerLatency = config.triggerLatency;
+                        c.controller.engageCycles = config.engageCycles;
+                        c.controller.policy = config.policies[p];
+                        c.controller.proportionalLevel =
+                            config.proportionalLevel;
+                        StatusOr<ClosedLoopResult> res =
+                            runner.simulate(wl.program, c);
+                        if (!res.ok()) {
+                            cellErrors[k] = res.status();
+                            continue;
+                        }
+                        cells[c0 + k] = std::move(*res);
+                    }
+                });
+            }
+            if (Status st = firstError(cellErrors); !st.ok())
+                return st;
+
+            std::vector<ClosedLoopResult *> scored;
+            for (size_t k = 0; k < group; ++k)
+                scored.push_back(&cells[c0 + k]);
+            if (t == 0)
+                scored.push_back(&baselines[w]);
+            std::vector<std::span<const ActivityFrame>> runs;
+            for (const ClosedLoopResult *res : scored)
+                runs.push_back(res->frames);
+            std::vector<std::vector<float>> truth =
+                scorer.truthPowers(runs, &pool);
+            for (size_t k = 0; k < scored.size(); ++k) {
+                scored[k]->truthPower = std::move(truth[k]);
+                scored[k]->frames.clear();
+                scored[k]->frames.shrink_to_fit();
+            }
+        }
+    }
+
+    // Stage D: cross with the PDN variants and assemble the rows.
+    DroopLabReport report;
+    {
+        APOLLO_TRACE_SPAN("control.assemble");
+        report = assembleDroopLabReport(config, baselines, triggers, cells);
+    }
     APOLLO_COUNT("apollo.control.lab_runs", 1);
     APOLLO_COUNT("apollo.control.scenarios", report.rows.size());
     return report;

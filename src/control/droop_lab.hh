@@ -15,9 +15,17 @@
  * workload by the baseline mean current, making the volt-scale
  * scenarios comparable across workloads.
  *
+ * Stages (INTERNALS.md §14): A simulates the baselines; B calibrates
+ * the triggers on their frames; C, per (workload, tau), simulates the
+ * group's (B, policy) cells in parallel and scores their truth power
+ * as one batch (ClosedLoopRunner::truthPowers: shared draws, identical
+ * runs scored once), with the workload's baseline in its first group;
+ * D assembles the rows.
+ *
  * Determinism: every stage is a pure function of (netlist, model,
- * config); scenario cells are fanned over a thread pool with each cell
- * writing its own result slot, so reports are bit-identical across
+ * config); cells and tiles are fanned over a thread pool with each
+ * writing its own result slot, and no truth power depends on the tile
+ * or batch it was scored in, so reports are bit-identical across
  * reruns and thread counts.
  */
 
@@ -26,6 +34,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,7 +85,8 @@ struct DroopLabConfig
     uint32_t triggerLatency = OpmSimulator::latencyCycles;
     uint32_t engageCycles = 6;
     uint32_t proportionalLevel = 1;
-    /** Worker threads: 0 = shared global pool. */
+    /** Worker threads: 0 = shared global pool; at most
+     *  kMaxWorkerThreads (util/thread_pool.hh). */
     uint32_t threads = 0;
     CoreParams coreParams = CoreParams::defaults();
     PowerParams powerParams{};
@@ -138,6 +148,19 @@ struct DroopLabReport
 
 /** Human-readable policy name ("none", "scheme1", ...). */
 const char *throttleModeName(ThrottleMode mode);
+
+/**
+ * Stage D of runDroopLab: the report's rows in grid order, with PDN
+ * crossing and Pareto fronts, from scored runs (their frames may be
+ * empty): @p baselines holds one result per workload, @p triggers one
+ * calibrated trigger per (workload, tau, bits), and @p cells one
+ * result per (workload, tau, bits, policy) cell.
+ */
+DroopLabReport
+assembleDroopLabReport(const DroopLabConfig &config,
+                       std::span<const ClosedLoopResult> baselines,
+                       std::span<const double> triggers,
+                       std::span<const ClosedLoopResult> cells);
 
 /** Run the sweep. @p model is the trained float model; the lab
  *  quantizes it per bits setting. */

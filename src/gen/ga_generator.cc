@@ -154,6 +154,10 @@ GaConfig::validate() const
         return Status::invalidArgument(
             "fitnessSignalStride must be >= 1 (stride 0 would sample "
             "no signals and divide by zero)");
+    if (threads > kMaxWorkerThreads)
+        return Status::invalidArgument("threads must be at most ",
+                                       kMaxWorkerThreads, ", got ",
+                                       threads);
     return Status::okStatus();
 }
 
@@ -163,6 +167,9 @@ GaGenerator::GaGenerator(const DatasetBuilder &builder,
 {
     const Status st = config.validate();
     APOLLO_REQUIRE(st.ok(), st.toString());
+    fitness_ = std::make_unique<FitnessEvaluator>(
+        builder.netlist(), builder.engine(), builder.oracle(),
+        config.fitnessSignalStride);
 }
 
 GaGenerator::~GaGenerator() = default;
@@ -280,28 +287,6 @@ GaGenerator::mutate(GaIndividual &ind, Xoshiro256StarStar &rng) const
     }
 }
 
-FitnessEvaluator *
-GaGenerator::acquireEvaluator()
-{
-    std::lock_guard<std::mutex> lock(evalMutex_);
-    if (!freeEvals_.empty()) {
-        FitnessEvaluator *eval = freeEvals_.back();
-        freeEvals_.pop_back();
-        return eval;
-    }
-    evalPool_.push_back(std::make_unique<FitnessEvaluator>(
-        builder_.netlist(), builder_.engine(), builder_.oracle(),
-        config_.fitnessSignalStride));
-    return evalPool_.back().get();
-}
-
-void
-GaGenerator::releaseEvaluator(FitnessEvaluator *eval)
-{
-    std::lock_guard<std::mutex> lock(evalMutex_);
-    freeEvals_.push_back(eval);
-}
-
 void
 GaGenerator::evaluatePopulation(std::vector<GaIndividual> &population,
                                 uint32_t generation)
@@ -338,9 +323,8 @@ GaGenerator::evaluatePopulation(std::vector<GaIndividual> &population,
         stats_.cacheMisses++;
     }
 
-    // Parallel fitness evaluation of the unique misses. Workers share
-    // nothing but the evaluator freelist; each evaluations_ slot is
-    // written by exactly one worker, and no RNG is consumed.
+    // Parallel simulation of the unique misses: each evaluations_ slot
+    // is written by exactly one worker, and no RNG is consumed.
     evaluations_.resize(base + miss_slots.size());
     ThreadPool &workers = config_.threads == 0
                               ? ThreadPool::global()
@@ -350,7 +334,6 @@ GaGenerator::evaluatePopulation(std::vector<GaIndividual> &population,
                                                         ThreadPool>(
                                                         config_.threads)));
     workers.parallelFor(miss_slots.size(), [&](size_t j0, size_t j1) {
-        FitnessEvaluator *eval = acquireEvaluator();
         for (size_t j = j0; j < j1; ++j) {
             const GaIndividual &ind = population[miss_slots[j]];
             const Program prog = toProgram(
@@ -364,10 +347,23 @@ GaGenerator::evaluatePopulation(std::vector<GaIndividual> &population,
                      [&](const ActivityFrame &f) {
                          r.frames.push_back(f);
                      });
-            r.fitness = eval->averagePower(r.frames);
         }
-        releaseEvaluator(eval);
     });
+
+    // One fitness batch over the misses' windows: the timing core
+    // stamps every window 0, 1, 2, ..., so they share every draw.
+    if (!miss_slots.empty()) {
+        APOLLO_TRACE_SPAN("gen.fitness_batch");
+        std::vector<std::span<const ActivityFrame>> windows;
+        windows.reserve(miss_slots.size());
+        for (size_t j = base; j < evaluations_.size(); ++j)
+            windows.push_back(evaluations_[j].frames);
+        std::vector<std::vector<double>> powers;
+        fitness_->cyclePowersBatch(windows, powers, &workers);
+        for (size_t j = 0; j < miss_slots.size(); ++j)
+            evaluations_[base + j].fitness = meanPower(powers[j]);
+        APOLLO_COUNT("apollo.gen.fitness_batches", 1);
+    }
 
     // Serial commit pass (miss order, then slot order).
     stats_.evaluations += miss_slots.size();

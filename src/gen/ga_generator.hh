@@ -18,8 +18,9 @@
  *    evaluation consumes no RNG, so the GA trajectory is bit-identical
  *    at any thread count;
  *  - fitness simulations of one generation run concurrently on a
- *    thread pool, with per-worker evaluators (toggle columns,
- *    accumulators) reused across generations;
+ *    thread pool, and their windows are then scored as one
+ *    FitnessEvaluator batch on the same pool (shared draws, identical
+ *    windows scored once);
  *  - a genome-keyed fitness cache skips re-simulation of duplicate
  *    genomes (elites and converged populations), with deterministic
  *    hit/miss counters;
@@ -37,7 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -69,7 +69,8 @@ struct GaConfig
     uint32_t fitnessSignalStride = 1;
     uint64_t seed = 0x6a6aULL;
 
-    /** Fitness-evaluation worker threads (0 = hardware concurrency). */
+    /** Fitness-evaluation worker threads (0 = hardware concurrency;
+     *  at most kMaxWorkerThreads, util/thread_pool.hh). */
     uint32_t threads = 0;
 
     /**
@@ -186,8 +187,6 @@ class GaGenerator
         const std::vector<GaIndividual> &pop,
         Xoshiro256StarStar &rng) const;
     void mutate(GaIndividual &ind, Xoshiro256StarStar &rng) const;
-    FitnessEvaluator *acquireEvaluator();
-    void releaseEvaluator(FitnessEvaluator *eval);
 
     const DatasetBuilder &builder_;
     GaConfig config_;
@@ -199,11 +198,7 @@ class GaGenerator
     std::vector<size_t> slotOf_;
     /** Genome fitness cache; bucket vectors absorb key collisions. */
     std::unordered_map<uint64_t, std::vector<CacheEntry>> cache_;
-    /** Per-worker evaluators, reused across generations. */
-    std::vector<std::unique_ptr<FitnessEvaluator>> evalPool_;
-    std::vector<FitnessEvaluator *> freeEvals_;
-    /** Guards evalPool_ and freeEvals_. */
-    std::mutex evalMutex_;
+    std::unique_ptr<FitnessEvaluator> fitness_;
     std::unique_ptr<class ThreadPool> localPool_;
 };
 

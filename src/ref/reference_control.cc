@@ -1,7 +1,9 @@
 #include "ref/reference_control.hh"
 
 #include <algorithm>
+#include <cmath>
 
+#include "droop/droop.hh"
 #include "util/logging.hh"
 
 namespace apollo::ref {
@@ -61,6 +63,95 @@ droopControlTranscript(std::span<const float> est_power,
     for (uint8_t e : out.engaged)
         out.engagedCycles += e;
     return out;
+}
+
+StatusOr<control::DroopLabReport>
+droopLabPerCell(const Netlist &netlist, const ApolloModel &model,
+                const control::DroopLabConfig &config)
+{
+    using namespace control;
+    if (Status st = config.validate(); !st.ok())
+        return st;
+    std::vector<QuantizedModel> qmodels;
+    for (uint32_t b : config.bits) {
+        StatusOr<QuantizedModel> qm = tryQuantizeModel(model, b);
+        if (!qm.ok())
+            return qm.status();
+        qmodels.push_back(std::move(*qm));
+    }
+
+    std::vector<ClosedLoopResult> baselines;
+    for (const DroopLabWorkload &wl : config.workloads) {
+        ClosedLoopRunner runner(netlist, qmodels[0], config.coreParams,
+                                config.powerParams);
+        ClosedLoopConfig c;
+        c.opmWindow = config.windows[0];
+        c.maxCycles = wl.cycles;
+        c.controller.vdd = config.vdd;
+        c.controller.policy = ThrottleMode::None;
+        StatusOr<ClosedLoopResult> res = runner.run(wl.program, c);
+        if (!res.ok())
+            return res.status();
+        if (res->truthPower.size() < 4)
+            return Status::invalidArgument("workload '", wl.name,
+                                           "' produced only ",
+                                           res->truthPower.size(),
+                                           " recorded cycles");
+        baselines.push_back(std::move(*res));
+    }
+
+    std::vector<double> triggers;
+    for (size_t w = 0; w < config.workloads.size(); ++w) {
+        for (const uint32_t window : config.windows) {
+            for (size_t b = 0; b < config.bits.size(); ++b) {
+                ClosedLoopRunner runner(netlist, qmodels[b],
+                                        config.coreParams,
+                                        config.powerParams);
+                const std::vector<double> di = deltaI(currentFromPower(
+                    runner.replayEstimate(baselines[w].frames, window),
+                    config.vdd));
+                std::vector<double> mags;
+                for (size_t k = 1; k < di.size(); ++k)
+                    mags.push_back(std::abs(di[k]));
+                const double cut =
+                    percentileCut(mags, config.triggerPercentile);
+                triggers.push_back(cut <= 0.0 ? 1e-12 : cut);
+            }
+        }
+    }
+
+    std::vector<ClosedLoopResult> cells;
+    for (size_t w = 0; w < config.workloads.size(); ++w) {
+        const DroopLabWorkload &wl = config.workloads[w];
+        for (size_t t = 0; t < config.windows.size(); ++t) {
+            for (size_t b = 0; b < config.bits.size(); ++b) {
+                for (const ThrottleMode policy : config.policies) {
+                    ClosedLoopRunner runner(netlist, qmodels[b],
+                                            config.coreParams,
+                                            config.powerParams);
+                    ClosedLoopConfig c;
+                    c.opmWindow = config.windows[t];
+                    c.maxCycles = wl.cycles;
+                    c.controller.vdd = config.vdd;
+                    c.controller.triggerDelta =
+                        triggers[(w * config.windows.size() + t) *
+                                     config.bits.size() +
+                                 b];
+                    c.controller.triggerLatency = config.triggerLatency;
+                    c.controller.engageCycles = config.engageCycles;
+                    c.controller.policy = policy;
+                    c.controller.proportionalLevel =
+                        config.proportionalLevel;
+                    StatusOr<ClosedLoopResult> res =
+                        runner.run(wl.program, c);
+                    if (!res.ok())
+                        return res.status();
+                    cells.push_back(std::move(*res));
+                }
+            }
+        }
+    }
+    return assembleDroopLabReport(config, baselines, triggers, cells);
 }
 
 } // namespace apollo::ref

@@ -10,6 +10,12 @@
  * No Throttle object, no state enum — just the per-cycle booleans,
  * recomputed the slow way. Oracle for control::DroopController
  * (the control.droop_trigger differential path).
+ *
+ * Also the per-cell droop lab: every baseline and cell simulated and
+ * scored on its own through ClosedLoopRunner::run, serially, as the
+ * lab ran before it batched truth power. Oracle for
+ * control::runDroopLab (DroopLab.MatchesPerCellReference and
+ * bench_droop_lab's gate).
  */
 
 #ifndef APOLLO_REF_REFERENCE_CONTROL_HH
@@ -18,6 +24,8 @@
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "control/droop_lab.hh"
 
 namespace apollo::ref {
 
@@ -49,6 +57,15 @@ struct ControlTranscript
 ControlTranscript droopControlTranscript(std::span<const float> est_power,
                                          std::span<const uint8_t> valid,
                                          const ControlParams &params);
+
+/**
+ * The droop lab report assembled from per-cell ClosedLoopRunner::run
+ * calls: stages A-C one run at a time, each with its own truth power,
+ * then the production stage D (control::assembleDroopLabReport).
+ */
+StatusOr<control::DroopLabReport>
+droopLabPerCell(const Netlist &netlist, const ApolloModel &model,
+                const control::DroopLabConfig &config);
 
 } // namespace apollo::ref
 

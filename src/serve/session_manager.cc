@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hh"
+#include "util/thread_pool.hh"
 
 namespace apollo::serve {
 
@@ -33,6 +34,10 @@ ServeConfig::validate() const
     if (maxQueuedChunks == 0)
         return Status::invalidArgument(
             "maxQueuedChunks must be positive");
+    if (threads > kMaxWorkerThreads)
+        return Status::invalidArgument("threads must be at most ",
+                                       kMaxWorkerThreads, ", got ",
+                                       threads);
     return Status::okStatus();
 }
 

@@ -59,7 +59,8 @@ namespace apollo::serve {
 /** Serving-layer tuning knobs. Setters validate via validate(). */
 struct ServeConfig
 {
-    /** Worker threads; 0 = hardware_concurrency (at least 1). */
+    /** Worker threads; 0 = hardware_concurrency (at least 1); at most
+     *  kMaxWorkerThreads (util/thread_pool.hh). */
     size_t threads = 0;
     /** Session slot table size (concurrent session bound). */
     size_t maxSessions = 64;

@@ -14,9 +14,9 @@ namespace apollo::bitkernels {
 namespace {
 
 /**
- * Per-word density threshold for the vector paths: below ~8 set bits a
- * countr_zero walk (one add per set bit) beats the fixed-cost masked
- * vector sequence; above it the vector path wins by up to 8x.
+ * Per-word density threshold for the dot kernels' vector paths: below
+ * ~8 set bits a countr_zero walk beats the fixed-cost masked vector
+ * sequence; above it the vector path wins by up to 8x.
  */
 constexpr int kVectorMinBits = 8;
 
@@ -211,9 +211,11 @@ dotWordsAvx512Fast(const uint64_t *words, size_t nwords, size_t nrows,
 }
 
 /**
- * AVX-512 axpy: read-modify-masked-write per 16-lane slice. Every set
- * bit receives exactly one float add, identical to the scalar kernel,
- * so results are bit-for-bit the same on every path.
+ * AVX-512 axpy: read-modify-masked-write per 16-lane slice, for every
+ * nonzero word however few bits it sets (unlike dot, whose threshold
+ * decides its summation order). Every set bit receives exactly one
+ * float add, identical to the scalar kernel, so results are
+ * bit-for-bit the same on every path.
  */
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
 axpyWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
@@ -225,30 +227,23 @@ axpyWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
         if (!bits)
             continue;
         float *v = dense + (k << 6);
-        if (std::popcount(bits) >= kVectorMinBits) {
-            // Loads are masked as well as stores: the tail word of an
-            // unpadded dense buffer must not be read past its end.
-            const auto m0 = static_cast<__mmask16>(bits);
-            const auto m1 = static_cast<__mmask16>(bits >> 16);
-            const auto m2 = static_cast<__mmask16>(bits >> 32);
-            const auto m3 = static_cast<__mmask16>(bits >> 48);
-            _mm512_mask_storeu_ps(
-                v, m0, _mm512_add_ps(_mm512_maskz_loadu_ps(m0, v), d));
-            _mm512_mask_storeu_ps(
-                v + 16, m1,
-                _mm512_add_ps(_mm512_maskz_loadu_ps(m1, v + 16), d));
-            _mm512_mask_storeu_ps(
-                v + 32, m2,
-                _mm512_add_ps(_mm512_maskz_loadu_ps(m2, v + 32), d));
-            _mm512_mask_storeu_ps(
-                v + 48, m3,
-                _mm512_add_ps(_mm512_maskz_loadu_ps(m3, v + 48), d));
-        } else {
-            while (bits) {
-                v[std::countr_zero(bits)] += delta;
-                bits &= bits - 1;
-            }
-        }
+        // Loads are masked as well as stores: the tail word of an
+        // unpadded dense buffer must not be read past its end.
+        const auto m0 = static_cast<__mmask16>(bits);
+        const auto m1 = static_cast<__mmask16>(bits >> 16);
+        const auto m2 = static_cast<__mmask16>(bits >> 32);
+        const auto m3 = static_cast<__mmask16>(bits >> 48);
+        _mm512_mask_storeu_ps(
+            v, m0, _mm512_add_ps(_mm512_maskz_loadu_ps(m0, v), d));
+        _mm512_mask_storeu_ps(
+            v + 16, m1,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(m1, v + 16), d));
+        _mm512_mask_storeu_ps(
+            v + 32, m2,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(m2, v + 32), d));
+        _mm512_mask_storeu_ps(
+            v + 48, m3,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(m3, v + 48), d));
     }
     (void)nrows;
 }

@@ -8,9 +8,10 @@
  *    countr_zero walk) that runs on any x86-64 / aarch64;
  *  - avx512: AVX-512 masked loads/stores — a 64-bit toggle word is
  *    exactly four __mmask16 lane masks, so a column dot becomes four
- *    masked vector loads per word with no per-bit work at all. Sparse
- *    words (few set bits) still take the countr_zero walk, chosen per
- *    word by popcount.
+ *    masked vector loads per word with no per-bit work at all. In the
+ *    dots, sparse words (few set bits) still take the countr_zero
+ *    walk, chosen per word by popcount; axpy takes the masked vector
+ *    add for every nonzero word.
  *
  * The dispatch pointers resolve once at static initialization from
  * __builtin_cpu_supports; APOLLO_NO_AVX512 turns the AVX-512 kernels

@@ -5,6 +5,13 @@
 
 namespace apollo {
 
+namespace {
+
+/** The pool whose worker the calling thread is (nullptr elsewhere). */
+thread_local const ThreadPool *tlWorkerOf = nullptr;
+
+} // namespace
+
 ThreadPool::ThreadPool(size_t n_threads)
 {
     size_t n = n_threads ? n_threads : std::thread::hardware_concurrency();
@@ -28,6 +35,7 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::workerLoop()
 {
+    tlWorkerOf = this;
     uint64_t seen_generation = 0;
     for (;;) {
         Task *task = nullptr;
@@ -78,10 +86,13 @@ ThreadPool::parallelFor(size_t n,
     if (n == 0)
         return;
     const size_t n_workers = workers_.size();
-    if (n_workers <= 1 || n < 2) {
+    // A nested call from one of our workers would overwrite the task
+    // its own chunk belongs to: run it inline instead.
+    if (n_workers <= 1 || n < 2 || tlWorkerOf == this) {
         body(0, n);
         return;
     }
+    std::lock_guard<std::mutex> submit(submitMutex_);
 
     Task task;
     task.body = &body;

@@ -5,6 +5,11 @@
  * neural-net trainer. The pool is created lazily and shared process-wide;
  * all parallelFor invocations are deterministic with respect to results
  * (workers write disjoint output ranges).
+ *
+ * parallelFor may be re-entered: a call from one of the pool's own
+ * workers runs its body inline, and calls from several outside threads
+ * take turns, so neither a nested call nor a second submitter can
+ * overwrite a running task.
  */
 
 #ifndef APOLLO_UTIL_THREAD_POOL_HH
@@ -18,6 +23,13 @@
 #include <vector>
 
 namespace apollo {
+
+/**
+ * The most worker threads a configuration may ask for (DroopLabConfig,
+ * GaConfig and ServeConfig reject more with InvalidArgument before any
+ * pool exists).
+ */
+inline constexpr size_t kMaxWorkerThreads = 256;
 
 /** Fixed-size worker pool executing [begin, end) range chunks. */
 class ThreadPool
@@ -35,7 +47,8 @@ class ThreadPool
     /**
      * Run @p body(begin, end) over chunks of [0, n), blocking until all
      * chunks complete. Exceptions inside chunks propagate to the caller
-     * (first one wins).
+     * (first one wins). From a worker of this pool the body runs
+     * inline; outside submitters are served one at a time.
      */
     void parallelFor(size_t n,
                      const std::function<void(size_t, size_t)> &body);
@@ -57,6 +70,8 @@ class ThreadPool
     void workerLoop();
 
     std::vector<std::thread> workers_;
+    /** Held by an outside submitter for the whole of its task. */
+    std::mutex submitMutex_;
     std::mutex mutex_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;

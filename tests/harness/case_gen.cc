@@ -517,6 +517,77 @@ makeGaCase(uint64_t seed)
     return c;
 }
 
+FitnessBatchCase
+makeFitnessBatchCase(uint64_t seed)
+{
+    Xoshiro256StarStar rng(hashMix(seed ^ 0xfb1));
+    FitnessBatchCase c;
+    c.netlist = miniDesign(rng);
+    c.stride = 1 + static_cast<uint32_t>(rng.nextBounded(7));
+    c.threads = rng.nextBounded(4);
+    const size_t n_runs = 1 + rng.nextBounded(9);
+    const bool contiguous = rng.nextBounded(2) == 0;
+    const bool sparse = rng.nextBounded(4) == 0;
+
+    // One stamp per row, shared by every run.
+    std::vector<uint64_t> stamps(700);
+    uint64_t cycle = rng.nextBounded(1u << 20);
+    for (uint64_t &s : stamps) {
+        s = cycle;
+        cycle += contiguous ? 1 : 1 + rng.nextBounded(5);
+    }
+    size_t copies = 0;
+    size_t near = 0;
+    for (size_t r = 0; r < n_runs; ++r) {
+        const uint64_t kind = r == 0 ? 0 : rng.nextBounded(4);
+        if (kind == 1 || kind == 2) {
+            // A copy of an earlier run, exact or with one field of one
+            // frame changed (or one frame dropped).
+            std::vector<ActivityFrame> run =
+                c.runs[rng.nextBounded(c.runs.size())];
+            if (kind == 2) {
+                ActivityFrame &f = run[rng.nextBounded(run.size())];
+                const size_t u = rng.nextBounded(numUnits);
+                switch (rng.nextBounded(4)) {
+                  case 0:
+                    f.activity[u] = std::nextafter(f.activity[u], 2.0f);
+                    break;
+                  case 1: f.dataToggle[u] += 0.25f; break;
+                  case 2: f.clockEnabled[u] = !f.clockEnabled[u]; break;
+                  default:
+                    if (run.size() > 1)
+                        run.pop_back();
+                    else
+                        f.clockEnabled[u] = !f.clockEnabled[u];
+                }
+                near++;
+            } else {
+                copies++;
+            }
+            c.runs.push_back(std::move(run));
+            continue;
+        }
+        static constexpr size_t kEdges[] = {1, 63, 64, 65};
+        const size_t n = rng.nextBounded(3) == 0
+                             ? kEdges[rng.nextBounded(std::size(kEdges))]
+                             : 66 + rng.nextBounded(stamps.size() - 66);
+        std::vector<ActivityFrame> run;
+        run.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            run.push_back(
+                randomFrame(rng, stamps[i], sparse ? 0.2 : 0.85, false));
+        c.runs.push_back(std::move(run));
+    }
+    c.shape = "runs=" + std::to_string(n_runs) +
+              "+copies=" + std::to_string(copies) +
+              "+near=" + std::to_string(near) +
+              "+stride=" + std::to_string(c.stride) +
+              "+threads=" + std::to_string(c.threads) +
+              (contiguous ? "" : "+noncontiguous") +
+              (sparse ? "+sparse-enable" : "");
+    return c;
+}
+
 namespace {
 
 /**

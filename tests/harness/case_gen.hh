@@ -134,6 +134,27 @@ struct GaCase
 GaCase makeGaCase(uint64_t seed);
 
 /**
+ * A generated fitness-batch case: a miniature design and 1-9 runs of
+ * synthetic frames that share each row's cycle stamp (contiguous or
+ * not) but not their lengths (1, 63, 64, 65 rows and longer). Some
+ * runs are exact copies of an earlier run, some near-copies that
+ * differ in one field of one frame or in length. The batch is scored
+ * at stride 1-7, serially or on a 1-3 worker pool, whose row tiles
+ * cut inside the runs.
+ */
+struct FitnessBatchCase
+{
+    Netlist netlist;
+    std::vector<std::vector<ActivityFrame>> runs;
+    uint32_t stride = 1;
+    /** Pool workers the batch runs on; 0 scores it serially. */
+    size_t threads = 0;
+    std::string shape;
+};
+
+FitnessBatchCase makeFitnessBatchCase(uint64_t seed);
+
+/**
  * A generated multi-segment toggle case: a GaCase's design and frames
  * plus a per-cycle segment-begin table and bind windows. Segment
  * lengths come from the 1/2/63/64/65-row edges, optionally mixed with

@@ -46,6 +46,7 @@
 #include "trace/shard_store.hh"
 #include "trace/stream_reader.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace apollo::harness {
 
@@ -1105,6 +1106,73 @@ runFitnessPower(uint64_t seed)
     return std::nullopt;
 }
 
+/** Field-wise frame-set equality, floats by their bits. */
+bool
+sameRun(const std::vector<ActivityFrame> &a,
+        const std::vector<ActivityFrame> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i].cycle != b[i].cycle)
+            return false;
+        for (size_t u = 0; u < numUnits; ++u)
+            if (a[i].clockEnabled[u] != b[i].clockEnabled[u] ||
+                std::bit_cast<uint32_t>(a[i].activity[u]) !=
+                    std::bit_cast<uint32_t>(b[i].activity[u]) ||
+                std::bit_cast<uint32_t>(a[i].dataToggle[u]) !=
+                    std::bit_cast<uint32_t>(b[i].dataToggle[u]))
+                return false;
+    }
+    return true;
+}
+
+std::optional<std::string>
+runFitnessBatch(uint64_t seed)
+{
+    const FitnessBatchCase c = makeFitnessBatchCase(seed);
+    const ActivityEngine engine(c.netlist);
+    const PowerOracle oracle(c.netlist, PowerParams{});
+    static ThreadPool pool1(1);
+    static ThreadPool pool2(2);
+    static ThreadPool pool3(3);
+    ThreadPool *const pools[] = {nullptr, &pool1, &pool2, &pool3};
+
+    const std::vector<std::span<const ActivityFrame>> runs(c.runs.begin(),
+                                                           c.runs.end());
+    const FitnessEvaluator eval(c.netlist, engine, oracle, c.stride);
+    std::vector<std::vector<double>> prod;
+    const FitnessEvaluator::BatchStats stats =
+        eval.cyclePowersBatch(runs, prod, pools[c.threads]);
+    if (prod.size() != c.runs.size())
+        return fmt("shape=%s: %zu outputs for %zu runs", c.shape.c_str(),
+                   prod.size(), c.runs.size());
+    for (size_t r = 0; r < c.runs.size(); ++r) {
+        const std::vector<double> want = ref::fitnessCyclePowers(
+            c.netlist, engine, oracle, c.runs[r], c.stride);
+        if (auto d = compareExactD(
+                prod[r], want,
+                c.shape + fmt("+run=%zu+rows=%zu", r, c.runs[r].size())))
+            return d;
+    }
+
+    // Each distinct run is scored once; every copy is a dedupe hit.
+    size_t distinct = 0;
+    for (size_t r = 0; r < c.runs.size(); ++r) {
+        bool seen = false;
+        for (size_t e = 0; e < r && !seen; ++e)
+            seen = sameRun(c.runs[e], c.runs[r]);
+        distinct += seen ? 0 : 1;
+    }
+    if (stats.scored != distinct ||
+        stats.duplicates != c.runs.size() - distinct)
+        return fmt("shape=%s: scored %zu and deduped %zu of %zu runs, "
+                   "%zu distinct",
+                   c.shape.c_str(), stats.scored, stats.duplicates,
+                   c.runs.size(), distinct);
+    return std::nullopt;
+}
+
 std::optional<std::string>
 runGaPipeline(uint64_t seed)
 {
@@ -1542,6 +1610,7 @@ oracleRegistry()
         {"solver.shard_prefilter", runShardPrefilter},
         {"gen.toggle_columns", runToggleColumns},
         {"gen.fitness_power", runFitnessPower},
+        {"gen.fitness_batch", runFitnessBatch},
         {"gen.ga_pipeline", runGaPipeline},
         {"trace.dataset_build", runDatasetBuild},
         {"control.droop_trigger", runDroopTrigger},

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "apollo.hh"
+#include "ref/reference_control.hh"
 
 namespace apollo {
 namespace {
@@ -28,6 +31,9 @@ using control::DroopLabWorkload;
 using control::PdnScenario;
 using control::defaultDroopLabConfig;
 using control::TriggerState;
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ---------------------------------------------------------------------
 // Throttle: pulsed engage/release and the Scheme3 vec_width clamp.
@@ -189,6 +195,16 @@ TEST(ControlDroopController, ValidateRejectsBadConfigs)
     cfg.policy = ThrottleMode::Proportional;
     cfg.proportionalLevel = 0;
     EXPECT_FALSE(cfg.validate().ok());
+
+    // NaN passes a `<= 0` test; every field rejects it and infinities.
+    for (const double v : {kNan, kInf, -kInf}) {
+        DroopControllerConfig nan_vdd = controllerConfig(0.5, 2, 6);
+        nan_vdd.vdd = v;
+        EXPECT_FALSE(nan_vdd.validate().ok()) << v;
+        DroopControllerConfig nan_delta = controllerConfig(0.5, 2, 6);
+        nan_delta.triggerDelta = v;
+        EXPECT_FALSE(nan_delta.validate().ok()) << v;
+    }
 
     DroopControllerConfig bad = controllerConfig(0.0, 2, 6);
     EXPECT_THROW(DroopController{bad}, FatalError);
@@ -357,6 +373,67 @@ TEST(DroopLab, ValidateRejectsBadGrids)
     DroopLabConfig bad_pct = cfg;
     bad_pct.triggerPercentile = 1.5;
     EXPECT_FALSE(runDroopLab(fx.netlist, fx.model, bad_pct).ok());
+
+    // NaN passes every `<= 0` / `>= 1` test; each field rejects it and
+    // the infinities.
+    using Field = std::function<void(DroopLabConfig &, double)>;
+    const std::vector<std::pair<const char *, Field>> fields = {
+        {"vdd", [](DroopLabConfig &c, double v) { c.vdd = v; }},
+        {"percentile",
+         [](DroopLabConfig &c, double v) { c.triggerPercentile = v; }},
+        {"threshold",
+         [](DroopLabConfig &c, double v) { c.pdns[0].thresholdFrac = v; }},
+        {"r_static",
+         [](DroopLabConfig &c, double v) { c.pdns[0].rStaticVolts = v; }},
+        {"dynamic_gain",
+         [](DroopLabConfig &c, double v) {
+             c.pdns[0].dynamicGainVolts = v;
+         }},
+        {"resonance",
+         [](DroopLabConfig &c, double v) {
+             c.pdns[0].resonancePeriodCycles = v;
+         }},
+        {"damping",
+         [](DroopLabConfig &c, double v) { c.pdns[0].damping = v; }},
+    };
+    for (const auto &[name, set] : fields) {
+        for (const double v : {kNan, kInf, -kInf}) {
+            DroopLabConfig bad = cfg;
+            set(bad, v);
+            EXPECT_EQ(bad.validate().code(), StatusCode::InvalidArgument)
+                << name << " = " << v;
+        }
+    }
+    // A zero or negative resonance period divides by zero in the PDN.
+    for (const double period : {0.0, -24.0}) {
+        DroopLabConfig bad = cfg;
+        bad.pdns[0].resonancePeriodCycles = period;
+        EXPECT_EQ(bad.validate().code(), StatusCode::InvalidArgument);
+    }
+    // The thread count is bounded before any pool exists.
+    DroopLabConfig threads = cfg;
+    threads.threads = kMaxWorkerThreads + 1;
+    EXPECT_EQ(threads.validate().code(), StatusCode::InvalidArgument);
+    threads.threads = UINT32_MAX;
+    EXPECT_EQ(threads.validate().code(), StatusCode::InvalidArgument);
+}
+
+TEST(DroopLab, NanPercentileIsInvalidArgumentNotAThrow)
+{
+    // A NaN percentile used to pass validation and throw FatalError
+    // from percentileCut inside a stage-B pool worker.
+    const auto &fx = controlFixture();
+    DroopLabConfig cfg = defaultDroopLabConfig(400);
+    cfg.triggerPercentile = kNan;
+    bool threw = false;
+    Status st = Status::okStatus();
+    try {
+        st = runDroopLab(fx.netlist, fx.model, cfg).status();
+    } catch (const FatalError &) {
+        threw = true;
+    }
+    EXPECT_FALSE(threw);
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << st.toString();
 }
 
 /** The default lab sweep at 1500 cycles, run once and shared. */
@@ -426,6 +503,27 @@ TEST(DroopLab, BitIdenticalAcrossThreadCountsAndReruns)
     }
     for (size_t i = 1; i < reports.size(); ++i)
         EXPECT_EQ(reports[0], reports[i]) << "variant " << i;
+}
+
+TEST(DroopLab, MatchesPerCellReference)
+{
+    // The batched lab (group simulation, shared-draw truth batches,
+    // dedupe, row tiles) against one ClosedLoopRunner::run per
+    // baseline and cell, each scored on its own: the lab's old path.
+    const auto &fx = controlFixture();
+    DroopLabConfig cfg = defaultDroopLabConfig(700);
+    cfg.windows = {1, 2, 4};
+    cfg.pdns.push_back(PdnScenario{"stiff", 0.02, 0.08, 16.0, 0.4, 0.96});
+    const StatusOr<DroopLabReport> want =
+        ref::droopLabPerCell(fx.netlist, fx.model, cfg);
+    ASSERT_TRUE(want.ok()) << want.status().toString();
+    for (const uint32_t threads : {1u, 3u, 0u}) {
+        cfg.threads = threads;
+        const StatusOr<DroopLabReport> got =
+            runDroopLab(fx.netlist, fx.model, cfg);
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        EXPECT_EQ(got->toJson(), want->toJson()) << "threads " << threads;
+    }
 }
 
 TEST(DroopLab, AnalyticMitigationAgreesWithClosedLoop)

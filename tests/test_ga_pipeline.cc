@@ -119,6 +119,15 @@ TEST(GaConfigValidate, RejectsDegenerateShapes)
     body.bodyMinLen = 10;
     body.bodyMaxLen = 6;
     EXPECT_EQ(body.validate().code(), StatusCode::InvalidArgument);
+
+    // Checked before any pool exists: no worker thread is started.
+    GaConfig threads;
+    threads.threads = kMaxWorkerThreads;
+    EXPECT_TRUE(threads.validate().ok());
+    threads.threads = kMaxWorkerThreads + 1;
+    EXPECT_EQ(threads.validate().code(), StatusCode::InvalidArgument);
+    threads.threads = UINT32_MAX;
+    EXPECT_EQ(threads.validate().code(), StatusCode::InvalidArgument);
 }
 
 TEST(GaConfigValidate, ConstructorEnforcesValidation)

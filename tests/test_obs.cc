@@ -286,6 +286,10 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
     control::ClosedLoopRunner runner(netlist, qm);
     EXPECT_EQ(runner.truthPower(loop_frames.frames()).size(),
               loop_frames.frames().size());
+    // ... and the droop lab's stages and truth batches.
+    ASSERT_TRUE(control::runDroopLab(netlist, trained.model,
+                                     control::defaultDroopLabConfig(300))
+                    .ok());
 
     const auto counters = reg.counterValues();
     for (const char *name :
@@ -296,11 +300,14 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
           "apollo.activity.cycles", "apollo.activity.datasets_built",
           "apollo.opm.quantizations", "apollo.opm.simulations",
           "apollo.opm.windows", "apollo.flow.runs",
-          "apollo.uarch.runs", "apollo.uarch.cycles"}) {
+          "apollo.uarch.runs", "apollo.uarch.cycles",
+          "apollo.gen.fitness_batches", "apollo.control.truth_runs"}) {
         const auto it = counters.find(name);
         ASSERT_NE(it, counters.end()) << "missing counter: " << name;
         EXPECT_GT(it->second, 0u) << name;
     }
+    // Registered on the first batch even when nothing was a duplicate.
+    EXPECT_NE(counters.find("apollo.control.truth_dedup"), counters.end());
 
     const std::string snapshot = reg.snapshotJson();
     EXPECT_TRUE(balancedJson(snapshot));
@@ -319,7 +326,9 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
     for (const char *span :
          {"flow.ga_run", "ga.generation", "trace.build",
           "trace.fill_columns", "trace.label_pass", "flow.simulate",
-          "stream.run", "control.truth_power", "uarch.run"})
+          "stream.run", "control.truth_power", "uarch.run",
+          "gen.fitness_batch", "control.simulate", "control.calibrate",
+          "control.truth_batch", "control.assemble"})
         EXPECT_NE(trace_json.find(span), std::string::npos)
             << "trace lacks span " << span;
 }

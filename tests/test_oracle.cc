@@ -35,7 +35,8 @@ TEST(OracleRegistry, CoversEveryProductionPath)
         "solver.cd_dense",       "solver.target_q",
         "solver.shard_prefilter",
         "gen.toggle_columns",    "gen.fitness_power",
-        "gen.ga_pipeline",       "control.droop_trigger",
+        "gen.fitness_batch",     "gen.ga_pipeline",
+        "control.droop_trigger",
         "trace.dataset_build",   "uarch.core_frames",
     };
     std::vector<std::string> actual;

@@ -306,6 +306,17 @@ TEST(ServeDeterminism, BitParallelSessionsMatchScalarBaseline)
     }
 }
 
+TEST(ServeSessions, ConfigRejectsTooManyThreads)
+{
+    // Checked before SessionManager starts any worker.
+    EXPECT_TRUE(ServeConfig().withThreads(kMaxWorkerThreads).validate().ok());
+    EXPECT_EQ(
+        ServeConfig().withThreads(kMaxWorkerThreads + 1).validate().code(),
+        StatusCode::InvalidArgument);
+    EXPECT_EQ(ServeConfig().withThreads(SIZE_MAX).validate().code(),
+              StatusCode::InvalidArgument);
+}
+
 TEST(ServeSessions, ValidatesCreationAndHandles)
 {
     auto reg = std::make_shared<ModelRegistry>();

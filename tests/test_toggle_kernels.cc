@@ -9,10 +9,13 @@
  * carry non-contiguous cycle stamps. Each check runs through
  * ToggleColumnGenerator with every implementation the host can run,
  * and through the dispatched row-blocked driver fillToggleColumns.
+ * Multi-run binds (R = 1-17 bindings of one kernel call) are checked
+ * binding by binding against single-run fills and the definition.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -166,18 +169,20 @@ TEST(ToggleKernels, DrawsMatchScalarFormula)
                         for (size_t i = 0; i < n; ++i)
                             act[i] = above ? std::nextafter(draws[i], 2.0f)
                                            : draws[i];
+                        std::vector<uint64_t> out(words);
+                        const togglekernels::Binding binding{
+                            act.data(), data.data(), mask.data(),
+                            out.data()};
                         togglekernels::Column c;
                         c.rule = togglekernels::Rule::Toggle;
                         c.seed = seed;
                         c.sig = &sig;
                         c.cycles = cycles.data();
                         c.src = src.data();
-                        c.act = act.data();
-                        c.data = data.data();
-                        c.mask = mask.data();
                         c.words = words;
-                        std::vector<uint64_t> out(words);
-                        fill(c, out.data());
+                        c.bindings = &binding;
+                        c.bindingCount = 1;
+                        fill(c);
                         std::vector<uint8_t> want(n);
                         for (size_t i = 0; i < n; ++i)
                             want[i] = above && draws[i] < 0.95f;
@@ -410,6 +415,113 @@ TEST(ToggleKernels, OddWindowsAndCycleStampsMatchActivityEngine)
                 windows.emplace_back(first, count);
     expectWindowsMatchDefinition(engine, frames, table, windows,
                                  allSignals(netlist), "odd windows");
+}
+
+TEST(ToggleKernels, BindingsMatchSingleBindingFills)
+{
+    // R = 1-17 runs with shared cycle stamps and unequal lengths, bound
+    // at once: each kernel call fills every run's column from one set
+    // of draws. Some runs disable a unit over whole 16-row groups and
+    // words, so a group's mask slice is zero in only some bindings,
+    // and rows past a short run's end are masked. Every binding must
+    // equal its run's single-run fill and the definition.
+    const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
+    const ActivityEngine engine(netlist);
+    const std::vector<uint32_t> sigs = allSignals(netlist);
+    constexpr size_t kRuns = 17;
+    static constexpr size_t kLengths[] = {150, 1,  64, 65, 63, 17, 130,
+                                          16,  15, 129, 128, 2, 100, 150,
+                                          31,  33, 140};
+    Xoshiro256StarStar rng(0xb1d);
+    std::vector<std::vector<ActivityFrame>> runs(kRuns);
+    std::vector<std::vector<std::vector<uint8_t>>> want(kRuns);
+    for (size_t r = 0; r < kRuns; ++r) {
+        runs[r] = enabledFrames(kLengths[r], 0xb1e + r);
+        for (size_t i = 0; i < runs[r].size(); ++i) {
+            runs[r][i].cycle = 4000 + 3 * i; // shared by every run
+            for (size_t u = 0; u < numUnits; ++u) {
+                const bool group_off = (r + u) % 3 == 0 && (i / 16) % 2 == 0;
+                const bool word_off = (r + u) % 5 == 1 && i < 64;
+                runs[r][i].clockEnabled[u] =
+                    !group_off && !word_off && rng() % 8 != 0;
+            }
+        }
+        for (const uint32_t sig : sigs)
+            want[r].push_back(ref::toggleColumn(engine, runs[r], sig));
+    }
+
+    for (const Impl impl : availableImpls()) {
+        ToggleColumnGenerator multi(engine, impl);
+        ToggleColumnGenerator single(engine, impl);
+        for (const size_t first : {size_t{0}, size_t{17}}) {
+            // Each run's single-run fill of every signal, once.
+            std::vector<std::vector<std::vector<uint64_t>>> alone(kRuns);
+            for (size_t r = 0; r < kRuns; ++r) {
+                if (runs[r].size() <= first)
+                    continue;
+                single.bind(runs[r], {}, first, runs[r].size() - first);
+                for (const uint32_t sig : sigs) {
+                    alone[r].emplace_back(single.wordCount());
+                    single.fillColumn(sig, alone[r].back().data());
+                }
+            }
+            for (size_t nb = 1; nb <= kRuns; ++nb) {
+                const std::vector<std::span<const ActivityFrame>> bound(
+                    runs.begin(), runs.begin() + static_cast<long>(nb));
+                size_t longest = 0;
+                for (const auto &run : bound)
+                    longest = std::max(longest, run.size());
+                if (first >= longest)
+                    continue;
+                const size_t count = longest - first;
+                multi.bindRuns(bound, first, count);
+                const size_t words = multi.wordCount();
+                std::vector<uint64_t> cols(nb * words);
+                std::vector<uint64_t *> outs(nb);
+                for (size_t k = 0; k < nb; ++k)
+                    outs[k] = cols.data() + k * words;
+                for (size_t j = 0; j < sigs.size(); ++j) {
+                    multi.fillColumns(sigs[j], outs.data());
+                    for (size_t k = 0; k < nb; ++k) {
+                        std::vector<uint8_t> padded = want[k][j];
+                        padded.resize(first + count, 0);
+                        ASSERT_TRUE(columnMatches(outs[k], padded, first,
+                                                  count))
+                            << togglekernels::implName(impl)
+                            << " bindings=" << nb << " run=" << k
+                            << " first=" << first << " sig=" << sigs[j];
+                        if (alone[k].empty())
+                            continue;
+                        const std::vector<uint64_t> &one = alone[k][j];
+                        for (size_t w = 0; w < words; ++w)
+                            ASSERT_EQ(outs[k][w],
+                                      w < one.size() ? one[w] : 0)
+                                << togglekernels::implName(impl)
+                                << " bindings=" << nb << " run=" << k
+                                << " first=" << first << " word=" << w
+                                << " sig=" << sigs[j];
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ToggleKernels, BindRunsRejectsMismatchedStamps)
+{
+    const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
+    const ActivityEngine engine(netlist);
+    std::vector<ActivityFrame> a = enabledFrames(80, 1);
+    std::vector<ActivityFrame> b = enabledFrames(40, 2);
+    for (size_t i = 0; i < b.size(); ++i)
+        b[i].cycle = a[i].cycle;
+    ToggleColumnGenerator gen(engine);
+    const std::vector<std::span<const ActivityFrame>> runs = {a, b};
+    EXPECT_NO_THROW(gen.bindRuns(runs, 0, 80));
+    EXPECT_THROW(gen.bindRuns(runs, 0, 81), FatalError);
+    b[39].cycle += 1;
+    EXPECT_THROW(gen.bindRuns(runs, 0, 80), FatalError);
+    EXPECT_NO_THROW(gen.bindRuns(runs, 40, 40)); // past b's end
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
 
 #include "activity/toggle_kernels.hh"
 #include "util/bitvec.hh"
@@ -172,6 +173,36 @@ TEST(ThreadPool, HandlesZeroAndOneElement)
         EXPECT_EQ(b, 0u);
         EXPECT_EQ(e, 1u);
     });
+}
+
+TEST(ThreadPool, NestedAndConcurrentCallsComplete)
+{
+    // Two outside threads submit to one pool while the main thread
+    // does too, and every body opens a nested call on the same pool.
+    // Before submitters were serialized and nested calls ran inline,
+    // a second task overwrote the first, whose remaining chunks never
+    // ran: its submitter waited forever (a ctest TIMEOUT catches that).
+    ThreadPool pool(3);
+    constexpr int kCalls = 40;
+    constexpr size_t kN = 64;
+    std::atomic<uint64_t> total{0};
+    auto submit = [&] {
+        for (int c = 0; c < kCalls; ++c) {
+            pool.parallelFor(kN, [&](size_t b, size_t e) {
+                for (size_t i = b; i < e; ++i) {
+                    pool.parallelFor(4, [&](size_t nb, size_t ne) {
+                        total += ne - nb;
+                    });
+                }
+            });
+        }
+    };
+    std::thread a(submit);
+    std::thread b(submit);
+    submit();
+    a.join();
+    b.join();
+    EXPECT_EQ(total.load(), 3u * kCalls * kN * 4);
 }
 
 TEST(Table, RendersAlignedRowsAndCsv)

@@ -79,6 +79,16 @@ class Args
         return v;
     }
 
+    /** A thread count or latency: must be at least 0. */
+    long
+    getNonNegative(const std::string &key, long fallback) const
+    {
+        const long v = getInt(key, fallback);
+        if (v < 0)
+            fatal("--", key, " must be a non-negative count, got ", v);
+        return v;
+    }
+
     bool
     getBool(const std::string &key) const
     {
@@ -299,25 +309,37 @@ cmdTrace(const Args &args)
     return 0;
 }
 
+/** @p v as uint32_t, saturating, so an oversized value stays one. */
+uint32_t
+saturateU32(long v)
+{
+    return static_cast<uint32_t>(
+        std::min<unsigned long>(static_cast<unsigned long>(v), UINT32_MAX));
+}
+
 int
 cmdDroopLab(const Args &args)
 {
+    // Flags first: a bad value fails before the model loads and before
+    // the lab builds a pool of that many workers.
+    control::DroopLabConfig cfg = control::defaultDroopLabConfig(
+        static_cast<uint64_t>(args.getCount("cycles", 3000)));
+    cfg.threads = saturateU32(args.getNonNegative("threads", 0));
+    const std::string pctl = args.get("percentile");
+    if (!pctl.empty())
+        cfg.triggerPercentile = std::stod(pctl);
+    cfg.engageCycles =
+        saturateU32(args.getCount("engage", cfg.engageCycles));
+    cfg.triggerLatency =
+        saturateU32(args.getNonNegative("latency", cfg.triggerLatency));
+    if (Status st = cfg.validate(); !st.ok())
+        fatal(st.toString());
+
     std::ifstream is(args.get("model", "model.txt"));
     APOLLO_REQUIRE(is.is_open(), "cannot open model file");
     const ApolloModel model = ApolloModel::load(is);
     const Netlist netlist =
         DesignBuilder::build(designByName(args.get("design", "tiny")));
-
-    control::DroopLabConfig cfg = control::defaultDroopLabConfig(
-        static_cast<uint64_t>(args.getCount("cycles", 3000)));
-    cfg.threads = static_cast<uint32_t>(args.getInt("threads", 0));
-    const std::string pctl = args.get("percentile");
-    if (!pctl.empty())
-        cfg.triggerPercentile = std::stod(pctl);
-    cfg.engageCycles =
-        static_cast<uint32_t>(args.getInt("engage", cfg.engageCycles));
-    cfg.triggerLatency = static_cast<uint32_t>(
-        args.getInt("latency", cfg.triggerLatency));
 
     const StatusOr<control::DroopLabReport> report =
         runDroopLab(netlist, model, cfg);
@@ -348,6 +370,18 @@ cmdDroopLab(const Args &args)
 int
 cmdServe(const Args &args)
 {
+    // Flags first: a bad value fails before the model loads and before
+    // the session manager starts that many workers.
+    serve::ServeLoopOptions options;
+    options.config.threads =
+        static_cast<size_t>(args.getNonNegative("threads", 0));
+    options.config.maxSessions =
+        static_cast<size_t>(args.getCount("max-sessions", 64));
+    options.config.maxQueuedChunks =
+        static_cast<size_t>(args.getCount("max-queue", 4));
+    if (Status st = options.config.validate(); !st.ok())
+        fatal(st.toString());
+
     const std::string model_path = args.get("model");
     APOLLO_REQUIRE(!model_path.empty(), "serve needs --model FILE");
     std::ifstream is(model_path);
@@ -370,13 +404,6 @@ cmdServe(const Args &args)
             .orFatal();
     }
 
-    serve::ServeLoopOptions options;
-    options.config.threads =
-        static_cast<size_t>(args.getInt("threads", 0));
-    options.config.maxSessions =
-        static_cast<size_t>(args.getInt("max-sessions", 64));
-    options.config.maxQueuedChunks =
-        static_cast<size_t>(args.getInt("max-queue", 4));
     options.recordDir = args.get("record");
 
     // --replay FILE is sugar for --in FILE: a record file IS a request
