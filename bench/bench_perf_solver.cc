@@ -30,10 +30,19 @@
  * every shard count x thread count vs the in-RAM solver. The huge
  * phase runs FIRST (ru_maxrss is monotonic, so the baseline snapshot
  * at main() entry only bounds it if nothing big ran before).
+ *
+ * A per-kernel ablation follows the layered runs: ns per column of the
+ * single exact dot, the kDotBatch-column dot and the fast dot, per
+ * available implementation (portable, avx512), over every column of
+ * the matrix against its centered labels. Gate: each batch slot equals
+ * the single dot and every implementation equals the portable one,
+ * bit for bit. BENCH_solver.json is headed by bench/common's
+ * hostJson().
  */
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -46,6 +55,7 @@
 #include "apollo.hh"
 #include "common.hh"
 #include "gen/synthetic_toggles.hh"
+#include "util/bitvec_kernels.hh"
 
 using namespace apollo;
 
@@ -170,6 +180,88 @@ runConfig(const LayerConfig &layer, const BitColumnMatrix &X,
             stats.support = fit.support();
     }
     return stats;
+}
+
+/** One implementation's per-column dot costs (ns per column). */
+struct KernelRow
+{
+    const char *impl = "";
+    double dotNs = 0.0;
+    double batchNs = 0.0;
+    double fastNs = 0.0;
+};
+
+/**
+ * Per-kernel ablation (file comment): every column of @p X against
+ * @p v, best of @p reps passes per kernel. Returns false when a batch
+ * slot differs from the single dot, or an implementation's exact or
+ * fast dots differ from the portable ones, in any bit.
+ */
+bool
+runKernelAblation(const BitColumnMatrix &X, const std::vector<float> &v,
+                  int reps, std::vector<KernelRow> &rows)
+{
+    namespace bk = bitkernels;
+    const size_t m = X.cols();
+    const size_t n = X.rows();
+    const size_t words = X.wordsPerCol();
+    std::vector<double> dot(m), batch(m), fast(m), want_dot, want_fast;
+    auto ns_per_col = [&](auto &&pass) {
+        double best = 1e300;
+        for (int rep = 0; rep < reps; ++rep) {
+            const auto t0 = std::chrono::steady_clock::now();
+            pass();
+            best = std::min(best, std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() -
+                                      t0)
+                                      .count());
+        }
+        return 1e9 * best / static_cast<double>(m);
+    };
+    auto same = [](const std::vector<double> &a,
+                   const std::vector<double> &b) {
+        return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) ==
+               0;
+    };
+    bool ok = true;
+    for (int i = 0; i < bk::kImplCount; ++i) {
+        const auto impl = static_cast<bk::Impl>(i);
+        if (!bk::implAvailable(impl))
+            continue;
+        const bk::Kernels &k = bk::implKernels(impl);
+        KernelRow row;
+        row.impl = bk::implName(impl);
+        row.dotNs = ns_per_col([&] {
+            for (size_t j = 0; j < m; ++j)
+                dot[j] = k.dot(X.colWords(j), words, n, v.data());
+        });
+        row.batchNs = ns_per_col([&] {
+            const uint64_t *ptrs[bk::kDotBatch];
+            for (size_t j = 0; j < m; j += bk::kDotBatch) {
+                const size_t cnt = std::min(bk::kDotBatch, m - j);
+                for (size_t c = 0; c < cnt; ++c)
+                    ptrs[c] = X.colWords(j + c);
+                k.dotBatch(ptrs, cnt, words, n, v.data(), batch.data() + j);
+            }
+        });
+        row.fastNs = ns_per_col([&] {
+            for (size_t j = 0; j < m; ++j)
+                fast[j] = k.dotFast(X.colWords(j), words, n, v.data());
+        });
+        if (want_dot.empty()) {
+            want_dot = dot;
+            want_fast = fast;
+        }
+        const bool row_ok =
+            same(batch, dot) && same(dot, want_dot) && same(fast, want_fast);
+        std::printf("  kernel %-8s dot %7.1f  batch%zu %7.1f  fast %7.1f "
+                    "ns/col  %s\n",
+                    row.impl, row.dotNs, bk::kDotBatch, row.batchNs,
+                    row.fastNs, row_ok ? "bit-identical" : "MISMATCH");
+        ok = ok && row_ok;
+        rows.push_back(row);
+    }
+    return ok;
 }
 
 /** Peak RSS of this process so far, in bytes (ru_maxrss is KiB on
@@ -409,10 +501,12 @@ hugeJson(const HugeResult &h)
 void
 writeJson(const std::string &path, const char *mode, size_t n, size_t m,
           size_t q, const std::vector<RunStats> &runs, double speedup,
-          const std::string &obs_json, const std::string &huge_json)
+          const std::string &obs_json, const std::string &huge_json,
+          const std::vector<KernelRow> &kernels, bool kernels_ok)
 {
     std::ofstream os(path);
     os << "{\n";
+    os << "  \"host\": " << bench::hostJson() << ",\n";
     os << "  \"bench\": \"solver_path\",\n";
     os << "  \"mode\": \"" << mode << "\",\n";
     os << "  \"n\": " << n << ",\n  \"m\": " << m << ",\n  \"q\": " << q
@@ -434,6 +528,20 @@ writeJson(const std::string &path, const char *mode, size_t n, size_t m,
            << (i + 1 < runs.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
+    if (!kernels.empty()) {
+        os << "  \"kernels\": [\n";
+        for (size_t i = 0; i < kernels.size(); ++i) {
+            const KernelRow &k = kernels[i];
+            os << "    {\"impl\": \"" << k.impl
+               << "\", \"dot_ns_per_col\": " << k.dotNs
+               << ", \"batch_ns_per_col\": " << k.batchNs
+               << ", \"fast_ns_per_col\": " << k.fastNs << "}"
+               << (i + 1 < kernels.size() ? "," : "") << "\n";
+        }
+        os << "  ],\n";
+        os << "  \"kernels_bit_identical\": "
+           << (kernels_ok ? "true" : "false") << ",\n";
+    }
     os << "  \"obs\": " << obs_json << ",\n";
     os << "  \"speedup_all_vs_baseline\": " << speedup << "\n";
     os << "}\n";
@@ -483,7 +591,7 @@ main(int argc, char **argv)
         // the huge smoke ctest only guards the out-of-core path.
         writeJson(out, "huge_smoke", hugeResult.n, hugeResult.m,
                   hugeResult.q, {}, 0.0,
-                  bench::obsDeltaJson(obs_before), huge_json);
+                  bench::obsDeltaJson(obs_before), huge_json, {}, true);
         std::printf("wrote %s\n", out.c_str());
         if (!huge_ok) {
             std::fprintf(stderr,
@@ -532,10 +640,24 @@ main(int argc, char **argv)
 
     const double speedup = runs.front().seconds / runs.back().seconds;
     std::printf("speedup (all vs baseline): %.2fx\n", speedup);
+    const std::string obs_json = bench::obsDeltaJson(obs_before);
+
+    std::vector<float> centered = y;
+    double mean = 0.0;
+    for (float v : y)
+        mean += v;
+    mean /= static_cast<double>(y.size());
+    for (float &v : centered)
+        v -= static_cast<float>(mean);
+    std::vector<KernelRow> kernels;
+    const bool kernels_ok =
+        runKernelAblation(X, centered, smoke ? 1 : std::max(reps, 3),
+                          kernels);
+
     const char *mode =
         huge ? "full+huge" : (smoke ? "smoke" : "full");
-    writeJson(out, mode, n, m, q, runs, speedup,
-              bench::obsDeltaJson(obs_before), huge_json);
+    writeJson(out, mode, n, m, q, runs, speedup, obs_json, huge_json,
+              kernels, kernels_ok);
     std::printf("wrote %s\n", out.c_str());
 
     bool ok = true;
@@ -544,6 +666,11 @@ main(int argc, char **argv)
     if (!ok) {
         std::fprintf(stderr, "FAIL: optimized configurations changed "
                              "the selected support\n");
+        return 1;
+    }
+    if (!kernels_ok) {
+        std::fprintf(stderr, "FAIL: a dot kernel differs from the single "
+                             "or the portable dot\n");
         return 1;
     }
     if (!huge_ok) {

@@ -9,6 +9,7 @@
 
 #include "activity/toggle_kernels.hh"
 #include "obs/metrics.hh"
+#include "util/bitvec_kernels.hh"
 #include "util/popcnt_kernels.hh"
 
 
@@ -205,6 +206,10 @@ hostJson()
        << popkernels::implName(popkernels::bestImpl())
        << "\", \"toggle\": \""
        << togglekernels::implName(togglekernels::bestImpl())
+       << "\", \"bitdot\": \""
+       << bitkernels::implName(bitkernels::avx512Enabled()
+                                   ? bitkernels::Impl::Avx512
+                                   : bitkernels::Impl::Portable)
        << "\", \"compiler\": \"" << APOLLO_BENCH_COMPILER
        << "\", \"flags\": \"" << APOLLO_BENCH_FLAGS << "\", \"git\": \""
        << git << "\"}";

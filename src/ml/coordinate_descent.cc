@@ -5,6 +5,7 @@
 
 #include "ml/sharded_view.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "util/bitvec_kernels.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -323,6 +324,38 @@ CdSolver::sweepOver(const View &X, std::span<const uint32_t> cols,
     const auto n = static_cast<double>(X.rows());
     const bool anchor = gradCacheValid_;
     double max_delta = 0.0;
+    // One coordinate update from the exact dot <x_j, r>; true when w_j
+    // moved (and the residual with it).
+    auto update = [&](uint32_t j, double dot) {
+        const double a = a_[j];
+        const double w_old = w[j];
+        const double rho = dot / n + a * w_old;
+        if (anchor) {
+            // Recycle this exact dot as column j's new anchor; the
+            // movement between the last accounting event and this
+            // moment is over-covered by pendingDrift_.
+            cachedDot_[j] = (rho - a * w_old) * n;
+            anchorMean_[j] = meanAcc_;
+            anchorDrift_[j] = driftAcc_ - pendingDrift_;
+        }
+        const double w_new = coordinateUpdate(rho, a, cfg.penalty);
+        if (w_new == w_old)
+            return false;
+        X.axpy(j, static_cast<float>(w_old - w_new), r.data());
+        w[j] = static_cast<float>(w_new);
+        pendingDrift_ += std::abs(w_new - w_old) * xNorm_[j];
+        max_delta =
+            std::max(max_delta, std::abs(w_new - w_old) * std::sqrt(a));
+        return true;
+    };
+    // Lasso and MCP columns at zero mostly stay there, so runs of them
+    // are dotted kDotBatch at a time against the current residual
+    // (each dot equals the single dot bit for bit). A column that
+    // moves changes the residual, so the rest of its batch is dotted
+    // again from the next column on. Ridge columns leave zero at once.
+    const bool batch = cfg.penalty.kind == PenaltyKind::Lasso ||
+                       cfg.penalty.kind == PenaltyKind::Mcp;
+    double dots[bitkernels::kDotBatch];
     // Chunked like the batched gradient passes: an out-of-core view
     // drops each chunk's pages once the sweep has moved past it, so a
     // sweep holds one chunk's span resident instead of its column
@@ -338,26 +371,24 @@ CdSolver::sweepOver(const View &X, std::span<const uint32_t> cols,
     while (c0 < cols.size()) {
         const size_t c1 = releaseChunkEnd(cols, c0, cols.size(), bpc);
         const auto chunk = cols.subspan(c0, c1 - c0);
-        for (uint32_t j : chunk) {
-            const double a = a_[j];
-            const double w_old = w[j];
-            const double rho = X.dot(j, r.data()) / n + a * w_old;
-            if (anchor) {
-                // Recycle this exact dot as column j's new anchor; the
-                // movement between the last accounting event and this
-                // moment is over-covered by pendingDrift_.
-                cachedDot_[j] = (rho - a * w_old) * n;
-                anchorMean_[j] = meanAcc_;
-                anchorDrift_[j] = driftAcc_ - pendingDrift_;
+        size_t i = 0;
+        while (i < chunk.size()) {
+            const uint32_t j = chunk[i];
+            if (!batch || w[j] != 0.0f) {
+                update(j, X.dot(j, r.data()));
+                ++i;
+                continue;
             }
-            const double w_new = coordinateUpdate(rho, a, cfg.penalty);
-            if (w_new != w_old) {
-                X.axpy(j, static_cast<float>(w_old - w_new), r.data());
-                w[j] = static_cast<float>(w_new);
-                pendingDrift_ += std::abs(w_new - w_old) * xNorm_[j];
-                max_delta =
-                    std::max(max_delta,
-                             std::abs(w_new - w_old) * std::sqrt(a));
+            size_t e = i + 1;
+            while (e < chunk.size() && e - i < bitkernels::kDotBatch &&
+                   w[chunk[e]] == 0.0f)
+                ++e;
+            X.dotColumns(chunk.subspan(i, e - i), r.data(), dots);
+            for (const size_t first = i; i < e;) {
+                const bool moved = update(chunk[i], dots[i - first]);
+                ++i;
+                if (moved)
+                    break;
             }
         }
         X.releaseColumns(chunk);
@@ -496,8 +527,11 @@ CdSolver::fitImpl(const View &X, const CdConfig &config,
             // the anchors recycled from this sweep's dots stay tight.
             if (gradCacheValid_)
                 advanceDriftAccount(r);
-            const double full_delta =
-                sweepOver(X, strong, config, res.w, r);
+            double full_delta;
+            {
+                APOLLO_TRACE_SPAN("ml.strong_sweep");
+                full_delta = sweepOver(X, strong, config, res.w, r);
+            }
             sweeps++;
             rebuild_active();
             if (full_delta <= tol_abs) {
@@ -506,6 +540,7 @@ CdSolver::fitImpl(const View &X, const CdConfig &config,
             }
 
             // Inner iterations on the active set only.
+            APOLLO_TRACE_SPAN("ml.active_sweep");
             while (sweeps < config.maxSweeps) {
                 if (config.fitIntercept)
                     updateIntercept(r, res.intercept);
@@ -528,6 +563,7 @@ CdSolver::fitImpl(const View &X, const CdConfig &config,
         // only for the columns the bound cannot certify, and each exact
         // dot re-anchors its column so the next pass certifies it from
         // a fresh baseline.
+        APOLLO_TRACE_SPAN("ml.kkt_pass");
         kkt_passes++;
         advanceDriftAccount(r);
         const double lambda_n = pen.lambda * nD;
@@ -547,7 +583,8 @@ CdSolver::fitImpl(const View &X, const CdConfig &config,
             for (float v : r)
                 rnorm2 += static_cast<double>(v) * v;
             const double err_unit =
-                bitkernels::kDotFastRelErr * std::sqrt(rnorm2);
+                bitkernels::dotFastRelErr((n + 63) / 64) *
+                std::sqrt(rnorm2);
             // The exact recomputes refault pages the fast pass just
             // released; drop them again in chunks (ascending — a
             // subsequence of `need`) so borderline columns and their
@@ -626,6 +663,7 @@ CdSolver::fitImpl(const View &X, const CdConfig &config,
 CdResult
 CdSolver::fit(const CdConfig &config, const CdResult *warm_start)
 {
+    APOLLO_TRACE_SPAN("ml.path_point");
     // Dispatch once per fit to a sweep loop instantiated on the
     // concrete (final) view type, so the per-coordinate dot/axpy calls
     // devirtualize. Unknown view types take the generic virtual path.

@@ -21,7 +21,9 @@
  *    column norms) fan out over the shared thread pool with
  *    deterministic per-column outputs;
  *  - the sweep kernel is instantiated per concrete FeatureView so the
- *    inner dot/axpy calls devirtualize.
+ *    inner dot/axpy calls devirtualize, and in Lasso/MCP fits it dots
+ *    runs of zero-weight columns bitkernels::kDotBatch at a time
+ *    through FeatureView::dotColumns (bit-identical to single dots).
  */
 
 #ifndef APOLLO_ML_COORDINATE_DESCENT_HH
@@ -186,7 +188,8 @@ class CdSolver
     void columnGradients(std::span<const uint32_t> cols, const float *r,
                          double *out) const;
     /** Approximate variant through FeatureView::dotColumnsFast; each
-     *  out[k] is within kDotFastRelErr * xNorm_[cols[k]] * ||r||. */
+     *  out[k] is within bitkernels::dotFastRelErr(words per column) *
+     *  xNorm_[cols[k]] * ||r||. */
     void columnGradientsFast(std::span<const uint32_t> cols,
                              const float *r, double *out) const;
     /** First use: exact dots for every live column at @p r. */
@@ -215,7 +218,7 @@ class CdSolver
      * Record dots (taken at the last accounting event's residual) as
      * the new anchors of @p cols. @p extraDrift inflates each anchor's
      * radius; passing the approximate kernel's error bound divided by
-     * xNorm (constant across columns: kDotFastRelErr * ||r||) makes
+     * xNorm (constant across columns: dotFastRelErr * ||r||) makes
      * anchors from dotColumnsFast results rigorous.
      */
     void anchorColumns(std::span<const uint32_t> cols, const double *dots,

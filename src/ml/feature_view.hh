@@ -62,10 +62,11 @@ class FeatureView
 
     /**
      * Like dotColumns but each result may be off by up to
-     * bitkernels::kDotFastRelErr * ||x_col|| * ||v||. Views with a
-     * faster approximate kernel override this; the default is exact
-     * (which trivially satisfies the bound). Callers making exact
-     * decisions must recompute borderline results with dotColumns.
+     * bitkernels::dotFastRelErr((rows() + 63) / 64) * ||x_col|| * ||v||.
+     * Views with a faster approximate kernel override this; the default
+     * is exact (which trivially satisfies the bound). Callers making
+     * exact decisions must recompute borderline results with
+     * dotColumns.
      */
     virtual void
     dotColumnsFast(std::span<const uint32_t> cols, const float *v,

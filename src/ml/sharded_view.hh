@@ -124,8 +124,9 @@ class ShardedFeatureView final : public FeatureView
     dotColumns(std::span<const uint32_t> cols, const float *v,
                double *out) const override
     {
-        for (size_t k = 0; k < cols.size(); ++k)
-            out[k] = dot(cols[k], v);
+        bitkernels::dotColumnsBatched(
+            cols, [this](uint32_t j) { return set_.colWords(j); },
+            set_.wordsPerCol(), set_.rows(), v, out);
     }
 
     void

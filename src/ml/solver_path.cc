@@ -79,104 +79,12 @@ solveForTargetQ(CdSolver &solver, CdConfig base, size_t target_q,
                 TargetQDiagnostics *diag)
 {
     APOLLO_REQUIRE(target_q >= 1, "target Q must be positive");
-
-    PathConfig path_config;
-    path_config.stopAtNonzeros = target_q;
-    std::vector<PathPoint> path = runLambdaPath(solver, base, path_config);
-    APOLLO_REQUIRE(!path.empty(), "empty path");
-
-    if (diag) {
-        diag->pathPoints = path.size();
-        for (const PathPoint &p : path) {
-            diag->totalSweeps += p.result.sweeps;
-            diag->totalKktPasses += p.result.kktPasses;
-            diag->totalKktDots += p.result.kktDots;
-            diag->peakStrongSize = std::max(
-                diag->peakStrongSize, size_t{p.result.strongSize});
-        }
-    }
-
-    const PathPoint &last = path.back();
-    if (last.nonzeros == target_q) {
-        if (diag) {
-            diag->lambda = last.lambda;
-            diag->trimmed = false;
-        }
-        return last.result;
-    }
-    if (last.nonzeros < target_q) {
-        // Path exhausted before reaching target (tiny designs): trim is
-        // a no-op; return the densest solution available.
-        CdResult res = last.result;
-        if (diag) {
-            diag->lambda = last.lambda;
-            diag->trimmed = false;
-        }
-        return res;
-    }
-
-    // Bracket: previous point (nnz < Q) and last point (nnz > Q).
-    double lambda_hi =
-        path.size() >= 2 ? path[path.size() - 2].lambda
-                         : last.lambda / path_config.lambdaFactor;
-    double lambda_lo = last.lambda;
-    CdResult best = last.result;
-    double best_lambda = last.lambda;
-    size_t best_nnz = last.nonzeros;
-    CdResult warm = last.result;
-    double warm_lambda = last.lambda;
-
-    size_t bisections = 0;
-    for (; bisections < 12; ++bisections) {
-        APOLLO_COUNT("apollo.solver.bisections", 1);
-        const double lambda_mid =
-            std::sqrt(lambda_lo * lambda_hi); // geometric midpoint
-        base.penalty.lambda = lambda_mid;
-        base.screenLambdaRef = warm_lambda;
-        CdResult mid = solver.fit(base, &warm);
-        const size_t nnz = mid.nonzeros();
-        warm = mid;
-        warm_lambda = lambda_mid;
-        if (diag) {
-            diag->totalSweeps += mid.sweeps;
-            diag->totalKktPasses += mid.kktPasses;
-            diag->totalKktDots += mid.kktDots;
-            diag->peakStrongSize =
-                std::max(diag->peakStrongSize, size_t{mid.strongSize});
-        }
-        if (nnz == target_q) {
-            if (diag) {
-                diag->lambda = lambda_mid;
-                diag->bisections = bisections + 1;
-                diag->trimmed = false;
-            }
-            return mid;
-        }
-        if (nnz > target_q) {
-            // Track the tightest superset solution for trimming.
-            if (nnz < best_nnz) {
-                best = mid;
-                best_nnz = nnz;
-                best_lambda = lambda_mid;
-            }
-            lambda_lo = lambda_mid;
-        } else {
-            lambda_hi = lambda_mid;
-        }
-    }
-
-    trimSupport(best, target_q, solver.columnNorms());
-    if (diag) {
-        diag->lambda = best_lambda;
-        diag->bisections = bisections;
-        diag->trimmed = true;
-    }
-    return best;
+    return solveForTargetsQ(solver, base, {target_q}, diag).front();
 }
 
 std::vector<CdResult>
 solveForTargetsQ(CdSolver &solver, CdConfig base,
-                 std::vector<size_t> targets)
+                 std::vector<size_t> targets, TargetQDiagnostics *diag)
 {
     APOLLO_REQUIRE(!targets.empty(), "no targets");
     std::vector<size_t> order(targets.size());
@@ -188,11 +96,16 @@ solveForTargetsQ(CdSolver &solver, CdConfig base,
 
     const double lambda_max = solver.lambdaMax();
     APOLLO_REQUIRE(lambda_max > 0.0, "labels are constant");
-    constexpr double factor = 0.82;
-    constexpr double min_ratio = 1e-4;
+    const PathConfig path_config;
+    const double factor = path_config.lambdaFactor;
+    const double lambda_floor = lambda_max * path_config.minLambdaRatio;
 
     std::vector<CdResult> results(targets.size());
     size_t next = 0; // index into `order`
+    size_t path_points = 0;
+    size_t bisections = 0;
+    bool trimmed = false;
+    double result_lambda = lambda_max;
 
     double lambda = lambda_max * factor;
     double prev_lambda = lambda_max;
@@ -204,44 +117,63 @@ solveForTargetsQ(CdSolver &solver, CdConfig base,
         base.penalty.lambda = lam;
         base.screenLambdaRef = warm_lambda;
         CdResult res = solver.fit(base, have_warm ? &warm : nullptr);
+        if (diag) {
+            diag->totalSweeps += res.sweeps;
+            diag->totalKktPasses += res.kktPasses;
+            diag->totalKktDots += res.kktDots;
+            diag->peakStrongSize =
+                std::max(diag->peakStrongSize, size_t{res.strongSize});
+        }
         warm = res;
         warm_lambda = lam;
         have_warm = true;
         return res;
     };
 
-    while (next < order.size() && lambda > lambda_max * min_ratio) {
+    while (next < order.size() && lambda >= lambda_floor) {
         CdResult point = solve_at(lambda);
-        size_t nnz = point.nonzeros();
+        const size_t nnz = point.nonzeros();
+        path_points++;
+        APOLLO_COUNT("apollo.solver.path_points", 1);
+        APOLLO_OBSERVE("apollo.solver.lambda_sweeps",
+                       static_cast<double>(point.sweeps),
+                       ::apollo::obs::countBounds());
 
         // Resolve every target bracketed by (prev_lambda, lambda].
         while (next < order.size() && nnz >= targets[order[next]]) {
             const size_t target = targets[order[next]];
             if (nnz == target) {
                 results[order[next]] = point;
+                result_lambda = lambda;
                 next++;
                 continue;
             }
-            // Bisect within (lambda, prev_lambda) for this target.
+            // Bisect within (lambda, prev_lambda) for this target; the
+            // first point's bracket reaches up to lambdaMax itself.
             double lo = lambda;
             double hi = prev_lambda;
             CdResult best = point;
             size_t best_nnz = nnz;
+            double best_lambda = lambda;
             bool exact = false;
             for (int iter = 0; iter < 12; ++iter) {
+                bisections++;
                 APOLLO_COUNT("apollo.solver.bisections", 1);
-                const double mid = std::sqrt(lo * hi);
+                const double mid = std::sqrt(lo * hi); // geometric
                 CdResult mid_res = solve_at(mid);
                 const size_t mid_nnz = mid_res.nonzeros();
                 if (mid_nnz == target) {
-                    results[order[next]] = mid_res;
+                    results[order[next]] = std::move(mid_res);
+                    result_lambda = mid;
                     exact = true;
                     break;
                 }
                 if (mid_nnz > target) {
+                    // Track the tightest superset solution for trimming.
                     if (mid_nnz < best_nnz) {
-                        best = mid_res;
+                        best = std::move(mid_res);
                         best_nnz = mid_nnz;
+                        best_lambda = mid;
                     }
                     lo = mid;
                 } else {
@@ -250,7 +182,9 @@ solveForTargetsQ(CdSolver &solver, CdConfig base,
             }
             if (!exact) {
                 trimSupport(best, target, solver.columnNorms());
-                results[order[next]] = best;
+                results[order[next]] = std::move(best);
+                result_lambda = best_lambda;
+                trimmed = true;
             }
             next++;
             // Re-anchor the warm start on the dense path point so the
@@ -269,11 +203,20 @@ solveForTargetsQ(CdSolver &solver, CdConfig base,
     // default-constructed CdResult with empty weights — solve the path
     // floor explicitly instead of handing that out.
     if (next < order.size() && !have_warm)
-        solve_at(lambda_max * min_ratio);
+        solve_at(lambda_floor);
     APOLLO_ASSERT(next >= order.size() || !warm.w.empty(),
                   "densest-solution fallback produced an empty model");
+    if (next < order.size())
+        result_lambda = warm_lambda;
     for (; next < order.size(); ++next)
         results[order[next]] = warm;
+
+    if (diag) {
+        diag->lambda = result_lambda;
+        diag->pathPoints = path_points;
+        diag->bisections = bisections;
+        diag->trimmed = trimmed;
+    }
     return results;
 }
 

@@ -43,13 +43,17 @@ struct PathConfig
 std::vector<PathPoint> runLambdaPath(CdSolver &solver, CdConfig base,
                                      const PathConfig &path_config);
 
-/** Diagnostics from a target-Q search. */
+/** Diagnostics from one target-Q search (over all of its targets). */
 struct TargetQDiagnostics
 {
+    /** Lambda of the solution returned for the largest target. */
     double lambda = 0.0;
+    /** Geometric path points solved (bisection fits excluded). */
     size_t pathPoints = 0;
+    /** Bisection fits, summed over every target. */
     size_t bisections = 0;
-    bool trimmed = false; ///< support trimmed to hit Q exactly
+    /** Some target's support was trimmed to hit its Q exactly. */
+    bool trimmed = false;
     /** Coordinate sweeps summed over every fit of the search. */
     size_t totalSweeps = 0;
     /** KKT re-admission passes summed over every fit of the search. */
@@ -67,23 +71,26 @@ struct TargetQDiagnostics
 };
 
 /**
- * Find a solution with exactly @p target_q nonzero weights by walking
- * the lambda path until nonzeros >= target_q and bisecting the last
- * bracket. If no lambda yields exactly target_q (support jumps), the
- * smallest support >= target_q is trimmed to the target_q largest
- * |w_j|*sqrt(a_j) weights (the downstream relaxation refits anyway).
- */
-CdResult solveForTargetQ(CdSolver &solver, CdConfig base, size_t target_q,
-                         TargetQDiagnostics *diag = nullptr);
-
-/**
  * Solve for several target supports with ONE warm-started path walk
- * (the Fig. 10/12 sweeps need solutions at many Q): targets are hit in
- * ascending order as the path densifies, bisecting each bracket.
- * Returns one CdResult per target, in the order given.
+ * (the Fig. 10/12 sweeps need solutions at many Q): the geometric path
+ * of PathConfig{} runs from lambdaMax down until nonzeros reach each
+ * target, in ascending order, and each overshot bracket
+ * (lambda_k, lambda_{k-1}] — lambdaMax itself above the first point —
+ * is bisected 12 times geometrically. If no lambda yields exactly a
+ * target (support jumps), the smallest support above it is trimmed to
+ * the target's largest |w_j|*sqrt(a_j) weights (the downstream
+ * relaxation refits anyway). Targets the path never reaches get its
+ * densest solution. Returns one CdResult per target, in the order
+ * given.
  */
 std::vector<CdResult> solveForTargetsQ(CdSolver &solver, CdConfig base,
-                                       std::vector<size_t> targets);
+                                       std::vector<size_t> targets,
+                                       TargetQDiagnostics *diag = nullptr);
+
+/** solveForTargetsQ for one target (>= 1): a solution with exactly
+ *  @p target_q nonzero weights (§4.3's Q). */
+CdResult solveForTargetQ(CdSolver &solver, CdConfig base, size_t target_q,
+                         TargetQDiagnostics *diag = nullptr);
 
 } // namespace apollo
 

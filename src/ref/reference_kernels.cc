@@ -200,4 +200,38 @@ opmCycleSumBounds(const QuantizedModel &model)
     return bounds;
 }
 
+double
+dotLaneOrder(const BitColumnMatrix &X, size_t col,
+             std::span<const float> dense)
+{
+    APOLLO_REQUIRE(dense.size() >= X.rows(), "dense vector too short");
+    double chain[32];
+    for (double &c : chain)
+        c = 0.0;
+    for (size_t row = 0; row < X.rows(); ++row)
+        if (X.get(row, col))
+            chain[row % 32] += static_cast<double>(dense[row]);
+    for (size_t w = 16; w >= 1; w /= 2)
+        for (size_t i = 0; i < w; ++i)
+            chain[i] = chain[i] + chain[i + w];
+    return chain[0];
+}
+
+double
+dotFastOrder(const BitColumnMatrix &X, size_t col,
+             std::span<const float> dense)
+{
+    APOLLO_REQUIRE(dense.size() >= X.rows(), "dense vector too short");
+    float chain[64];
+    for (float &c : chain)
+        c = 0.0f;
+    for (size_t row = 0; row < X.rows(); ++row)
+        if (X.get(row, col))
+            chain[row % 64] += dense[row];
+    for (size_t w = 32; w >= 1; w /= 2)
+        for (size_t i = 0; i < w; ++i)
+            chain[i] = chain[i] + chain[i + w];
+    return static_cast<double>(chain[0]);
+}
+
 } // namespace apollo::ref

@@ -103,6 +103,28 @@ struct CycleSumBounds
 };
 CycleSumBounds opmCycleSumBounds(const QuantizedModel &model);
 
+/**
+ * The exact packed-bit dot's lane order (util/bitvec_kernels.hh),
+ * written out row by row: every set row r of column @p col adds
+ * double(dense[r]) to double chain r mod 32 in ascending row order,
+ * and the 32 chains (all starting at +0.0) are reduced pairwise,
+ * chain[i] = chain[i] + chain[i + w] for w = 16, 8, 4, 2, 1. Bit-exact
+ * oracle for every implementation of bitkernels::dotWords and
+ * dotWordsBatch.
+ */
+double dotLaneOrder(const BitColumnMatrix &X, size_t col,
+                    std::span<const float> dense);
+
+/**
+ * The fast packed-bit dot's order, row by row: every set row r adds
+ * dense[r] to FLOAT chain r mod 64 in ascending row order; the 64
+ * chains are reduced pairwise in float for w = 32, 16, ..., 1 and the
+ * result is widened to double. Bit-exact oracle for every
+ * implementation of bitkernels::dotWordsFast.
+ */
+double dotFastOrder(const BitColumnMatrix &X, size_t col,
+                    std::span<const float> dense);
+
 } // namespace apollo::ref
 
 #endif // APOLLO_REF_REFERENCE_KERNELS_HH

@@ -2,14 +2,6 @@
 
 namespace apollo {
 
-void
-BitColumnMatrix::dotColumns(std::span<const uint32_t> cols,
-                            const float *dense, double *out) const
-{
-    for (size_t i = 0; i < cols.size(); ++i)
-        out[i] = dotColumn(cols[i], dense);
-}
-
 BitColumnMatrix
 BitColumnMatrix::selectColumns(std::span<const uint32_t> selected) const
 {

@@ -202,10 +202,11 @@ class BitColumnMatrix
     /**
      * Dot product of column @p col against a dense float vector,
      * through the word-at-a-time kernels in util/bitvec_kernels.hh
-     * (AVX-512 masked loads where the CPU has them, an all-ones fast
-     * path + countr_zero walk otherwise). Accumulates in double.
-     * Trailing bits past rows() must be zero (set()/setBit() never
-     * touch them); the kernels rely on that contract.
+     * (AVX-512 masked loads where the CPU has them, a countr_zero walk
+     * otherwise), in the exact dot's lane order: 32 double chains,
+     * the same bits on every dispatch path. Trailing bits past rows()
+     * must be zero (set()/setBit() never touch them); the kernels rely
+     * on that contract.
      */
     double
     dotColumn(size_t col, const float *dense) const
@@ -216,9 +217,8 @@ class BitColumnMatrix
 
     /**
      * Reference per-bit dot product (ascending-row double
-     * accumulation). Kept for equivalence tests and as the
-     * all-optimizations-off baseline in bench_perf_solver; also the
-     * accumulation order contract for dotColumns().
+     * accumulation, one chain). Kept for equivalence tests and as the
+     * all-optimizations-off baseline in bench_perf_solver.
      */
     double
     dotColumnScalar(size_t col, const float *dense) const
@@ -229,23 +229,27 @@ class BitColumnMatrix
     }
 
     /**
-     * Batched dot products: out[k] = <column cols[k], dense>. One
-     * entry point for a whole gradient pass, so callers dispatch (and
-     * parallel chunks virtualize) once per block instead of once per
-     * column. Each output depends only on its own column — computed by
-     * dotColumn() — so results do not depend on how a caller chunks
-     * @p cols (the parallel gradient passes rely on this). A shared
-     * union walk over column blocks was measured and rejected: on
-     * sparse toggle data the OR of several columns has nearly disjoint
-     * bits, so batching multiplies per-bit work without amortizing
-     * residual loads.
+     * Batched dot products: out[k] = <column cols[k], dense>, equal to
+     * dotColumn(cols[k], dense) bit for bit. Columns go through
+     * bitkernels::dotWordsBatch kDotBatch at a time, which loads and
+     * widens each word's dense floats once for the whole batch and
+     * adds them into every column's chains under that column's mask.
+     * Each output depends only on its own column, so results do not
+     * depend on how a caller chunks @p cols (the parallel gradient
+     * passes rely on this).
      */
-    void dotColumns(std::span<const uint32_t> cols, const float *dense,
-                    double *out) const;
+    void
+    dotColumns(std::span<const uint32_t> cols, const float *dense,
+               double *out) const
+    {
+        bitkernels::dotColumnsBatched(
+            cols, [this](uint32_t j) { return colWords(j); },
+            wordsPerCol_, rows_, dense, out);
+    }
 
     /**
      * Batched approximate dots through bitkernels::dotWordsFast (float
-     * accumulation, error within bitkernels::kDotFastRelErr *
+     * chains, error within bitkernels::dotFastRelErr(wordsPerCol()) *
      * ||x_col|| * ||dense||). For screening/KKT passes that re-check
      * borderline results exactly.
      */

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "util/kernel_env.hh"
+#include "util/logging.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define APOLLO_HAVE_AVX512_KERNELS 1
@@ -13,58 +14,84 @@ namespace apollo::bitkernels {
 
 namespace {
 
-/**
- * Per-word density threshold for the dot kernels' vector paths: below
- * ~8 set bits a countr_zero walk beats the fixed-cost masked vector
- * sequence; above it the vector path wins by up to 8x.
- */
-constexpr int kVectorMinBits = 8;
+/** The exact dot's reduction tree over its 32 double chains. */
+double
+reduceLanes(double (&t)[32])
+{
+    for (int w = 16; w >= 1; w >>= 1)
+        for (int i = 0; i < w; ++i)
+            t[i] = t[i] + t[i + w];
+    return t[0];
+}
 
-} // namespace
+/** The fast dot's reduction tree over its 64 float chains. */
+float
+reduceLanes(float (&t)[64])
+{
+    for (int w = 32; w >= 1; w >>= 1)
+        for (int i = 0; i < w; ++i)
+            t[i] = t[i] + t[i + w];
+    return t[0];
+}
 
+/** Exact dot, lane order: bit b of each word adds into chain b & 31,
+ *  bits in ascending order. */
 double
 dotWordsPortable(const uint64_t *words, size_t nwords, size_t nrows,
                  const float *dense)
 {
-    const size_t full = nrows >> 6;
-    double acc = 0.0;
-    for (size_t k = 0; k < full; ++k) {
+    double lane[32] = {};
+    for (size_t k = 0; k < nwords; ++k) {
         uint64_t bits = words[k];
-        if (!bits)
-            continue;
         const float *v = dense + (k << 6);
         if (bits == ~0ULL) {
-            // Double partial sums: keeps the portable kernel in the
-            // same precision class as the AVX-512 kernel, so solver
-            // decisions (certification slack, KKT checks) are equally
-            // trustworthy on every dispatch path.
-            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-            for (int i = 0; i < 64; i += 4) {
-                s0 += v[i + 0];
-                s1 += v[i + 1];
-                s2 += v[i + 2];
-                s3 += v[i + 3];
-            }
-            acc += (s0 + s1) + (s2 + s3);
-        } else {
-            double s = 0.0;
-            while (bits) {
-                s += v[std::countr_zero(bits)];
-                bits &= bits - 1;
-            }
-            acc += s;
+            for (int b = 0; b < 32; ++b)
+                lane[b] += v[b];
+            for (int b = 0; b < 32; ++b)
+                lane[b] += v[b + 32];
+            continue;
         }
-    }
-    if (nrows & 63) {
-        uint64_t bits = words[full];
-        const float *v = dense + (full << 6);
         while (bits) {
-            acc += v[std::countr_zero(bits)];
+            const int b = std::countr_zero(bits);
+            lane[b & 31] += v[b];
             bits &= bits - 1;
         }
     }
-    (void)nwords;
-    return acc;
+    (void)nrows;
+    return reduceLanes(lane);
+}
+
+/** Batch dot: one portable single dot per column. */
+void
+dotBatchPortable(const uint64_t *const *cols, size_t ncols, size_t nwords,
+                 size_t nrows, const float *dense, double *out)
+{
+    for (size_t c = 0; c < ncols; ++c)
+        out[c] = dotWordsPortable(cols[c], nwords, nrows, dense);
+}
+
+/** Fast dot: bit b of each word adds into float chain b. */
+double
+dotWordsFastPortable(const uint64_t *words, size_t nwords, size_t nrows,
+                     const float *dense)
+{
+    float lane[64] = {};
+    for (size_t k = 0; k < nwords; ++k) {
+        uint64_t bits = words[k];
+        const float *v = dense + (k << 6);
+        if (bits == ~0ULL) {
+            for (int b = 0; b < 64; ++b)
+                lane[b] += v[b];
+            continue;
+        }
+        while (bits) {
+            const int b = std::countr_zero(bits);
+            lane[b] += v[b];
+            bits &= bits - 1;
+        }
+    }
+    (void)nrows;
+    return static_cast<double>(reduceLanes(lane));
 }
 
 void
@@ -98,126 +125,173 @@ axpyWordsPortable(const uint64_t *words, size_t nwords, size_t nrows,
     (void)nwords;
 }
 
+constexpr Kernels kPortable = {dotWordsPortable, dotBatchPortable,
+                               dotWordsFastPortable, axpyWordsPortable};
+
 #ifdef APOLLO_HAVE_AVX512_KERNELS
 
+#define APOLLO_AVX512_TARGET                                             \
+    __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
+
+// GCC 12's cast/extract/convert intrinsics start from a self-initialized
+// "undefined" vector that -Wuninitialized reports once they inline
+// (a known false positive); the lanes it names are never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 /**
- * AVX-512 dot: each 16-bit slice of the word masks one zero-filling
- * vector load (inactive lanes never fault, so the trailing partial
- * word needs no special case given the trailing-zero contract). The
- * masked floats are widened to double before accumulating, keeping
- * the same precision class as the portable kernel so solver decisions
- * (support entry, KKT checks) stay numerically stable.
+ * The exact dot's reduction tree on the four chain registers (chains
+ * 0-7, 8-15, 16-23, 24-31): a0 + a2 and a1 + a3 are the w = 16 level,
+ * their sum the w = 8 level, then the 256-, 128- and 64-bit halves.
  */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) double
-dotWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
-               const float *dense)
+APOLLO_AVX512_TARGET inline double
+reduceLanesAvx512(__m512d a0, __m512d a1, __m512d a2, __m512d a3)
 {
-    __m512d a0 = _mm512_setzero_pd();
-    __m512d a1 = _mm512_setzero_pd();
-    __m512d a2 = _mm512_setzero_pd();
-    __m512d a3 = _mm512_setzero_pd();
-    double sparse = 0.0;
-    for (size_t k = 0; k < nwords; ++k) {
-        uint64_t bits = words[k];
-        if (!bits)
-            continue;
-        const float *v = dense + (k << 6);
-        if (std::popcount(bits) >= kVectorMinBits) {
-            const __m512 f0 =
-                _mm512_maskz_loadu_ps(static_cast<__mmask16>(bits), v);
-            const __m512 f1 = _mm512_maskz_loadu_ps(
-                static_cast<__mmask16>(bits >> 16), v + 16);
-            const __m512 f2 = _mm512_maskz_loadu_ps(
-                static_cast<__mmask16>(bits >> 32), v + 32);
-            const __m512 f3 = _mm512_maskz_loadu_ps(
-                static_cast<__mmask16>(bits >> 48), v + 48);
-            a0 = _mm512_add_pd(
-                a0, _mm512_cvtps_pd(_mm512_castps512_ps256(f0)));
-            a1 = _mm512_add_pd(
-                a1, _mm512_cvtps_pd(_mm512_extractf32x8_ps(f0, 1)));
-            a2 = _mm512_add_pd(
-                a2, _mm512_cvtps_pd(_mm512_castps512_ps256(f1)));
-            a3 = _mm512_add_pd(
-                a3, _mm512_cvtps_pd(_mm512_extractf32x8_ps(f1, 1)));
-            a0 = _mm512_add_pd(
-                a0, _mm512_cvtps_pd(_mm512_castps512_ps256(f2)));
-            a1 = _mm512_add_pd(
-                a1, _mm512_cvtps_pd(_mm512_extractf32x8_ps(f2, 1)));
-            a2 = _mm512_add_pd(
-                a2, _mm512_cvtps_pd(_mm512_castps512_ps256(f3)));
-            a3 = _mm512_add_pd(
-                a3, _mm512_cvtps_pd(_mm512_extractf32x8_ps(f3, 1)));
-        } else {
-            double s = 0.0;
-            while (bits) {
-                s += v[std::countr_zero(bits)];
-                bits &= bits - 1;
-            }
-            sparse += s;
-        }
-    }
-    (void)nrows;
-    return sparse + _mm512_reduce_add_pd(_mm512_add_pd(
-                        _mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3)));
+    const __m512d t8 =
+        _mm512_add_pd(_mm512_add_pd(a0, a2), _mm512_add_pd(a1, a3));
+    const __m256d t4 = _mm256_add_pd(_mm512_castpd512_pd256(t8),
+                                     _mm512_extractf64x4_pd(t8, 1));
+    const __m128d t2 = _mm_add_pd(_mm256_castpd256_pd128(t4),
+                                  _mm256_extractf128_pd(t4, 1));
+    return _mm_cvtsd_f64(_mm_add_sd(t2, _mm_unpackhi_pd(t2, t2)));
 }
 
 /**
- * AVX-512 dot with float accumulation: same masked-load structure as
- * dotWordsAvx512 but no widening to double, which roughly doubles
- * throughput. Error stays within kDotFastRelErr (each of the 64 float
- * lanes sums ~nwords values; the worst-case relative error of that
- * chain is orders of magnitude below 1e-4).
+ * Exact dots of N columns in lane order. Per word with any set bit,
+ * the four 16-row groups of the dense vector are loaded once under
+ * the OR of the columns' masks (unset lanes read +0.0) and widened to
+ * eight double vectors; rows 16g..16g+7 feed chain register 2g mod 4
+ * and rows 16g+8..16g+15 register 2g+1 mod 4, so chain b mod 32 gets
+ * bit b before bit b+32. Each column adds them under its own mask;
+ * with N = 1 the load mask is the column's, and the plain add adds
+ * +0.0 where the masked add would keep the lane — the same value.
  */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) double
-dotWordsAvx512Fast(const uint64_t *words, size_t nwords, size_t nrows,
+template <int N>
+APOLLO_AVX512_TARGET void
+dotLanesAvx512(const uint64_t *const *cols, size_t nwords,
+               const float *dense, double *out)
+{
+    __m512d acc[N][4];
+#pragma GCC unroll 8
+    for (int c = 0; c < N; ++c)
+        for (int l = 0; l < 4; ++l)
+            acc[c][l] = _mm512_setzero_pd();
+    for (size_t k = 0; k < nwords; ++k) {
+        uint64_t bits[N];
+        uint64_t any = 0;
+#pragma GCC unroll 8
+        for (int c = 0; c < N; ++c) {
+            bits[c] = cols[c][k];
+            any |= bits[c];
+        }
+        if (!any)
+            continue;
+        const float *v = dense + (k << 6);
+#pragma GCC unroll 4
+        for (int g = 0; g < 4; ++g) {
+            const __m512 f = _mm512_maskz_loadu_ps(
+                static_cast<__mmask16>(any >> (16 * g)), v + 16 * g);
+            const __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(f));
+            const __m512d hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(f, 1));
+            const int l = (2 * g) & 3;
+#pragma GCC unroll 8
+            for (int c = 0; c < N; ++c) {
+                if constexpr (N == 1) {
+                    acc[c][l] = _mm512_add_pd(acc[c][l], lo);
+                    acc[c][l + 1] = _mm512_add_pd(acc[c][l + 1], hi);
+                } else {
+                    acc[c][l] = _mm512_mask_add_pd(
+                        acc[c][l],
+                        static_cast<__mmask8>(bits[c] >> (16 * g)),
+                        acc[c][l], lo);
+                    acc[c][l + 1] = _mm512_mask_add_pd(
+                        acc[c][l + 1],
+                        static_cast<__mmask8>(bits[c] >> (16 * g + 8)),
+                        acc[c][l + 1], hi);
+                }
+            }
+        }
+    }
+#pragma GCC unroll 8
+    for (int c = 0; c < N; ++c)
+        out[c] = reduceLanesAvx512(acc[c][0], acc[c][1], acc[c][2],
+                                   acc[c][3]);
+}
+
+APOLLO_AVX512_TARGET double
+dotWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
+               const float *dense)
+{
+    double out;
+    dotLanesAvx512<1>(&words, nwords, dense, &out);
+    (void)nrows;
+    return out;
+}
+
+APOLLO_AVX512_TARGET void
+dotBatchAvx512(const uint64_t *const *cols, size_t ncols, size_t nwords,
+               size_t nrows, const float *dense, double *out)
+{
+    using LanesFn =
+        void (*)(const uint64_t *const *, size_t, const float *, double *);
+    static_assert(kDotBatch == 8);
+    static constexpr LanesFn kLanes[kDotBatch] = {
+        dotLanesAvx512<1>, dotLanesAvx512<2>, dotLanesAvx512<3>,
+        dotLanesAvx512<4>, dotLanesAvx512<5>, dotLanesAvx512<6>,
+        dotLanesAvx512<7>, dotLanesAvx512<8>};
+    kLanes[ncols - 1](cols, nwords, dense, out);
+    (void)nrows;
+}
+
+/**
+ * Fast dot: every word's four 16-row groups are added, zero-filled
+ * under the word's masks, into float chain registers 0-15 | 16-31 |
+ * 32-47 | 48-63 — no per-word branch. a0 + a2 and a1 + a3 are the
+ * w = 32 level of the reduction tree, their sum the w = 16 level.
+ */
+APOLLO_AVX512_TARGET double
+dotWordsFastAvx512(const uint64_t *words, size_t nwords, size_t nrows,
                    const float *dense)
 {
     __m512 a0 = _mm512_setzero_ps();
     __m512 a1 = _mm512_setzero_ps();
     __m512 a2 = _mm512_setzero_ps();
     __m512 a3 = _mm512_setzero_ps();
-    double sparse = 0.0;
     for (size_t k = 0; k < nwords; ++k) {
-        uint64_t bits = words[k];
-        if (!bits)
-            continue;
+        const uint64_t bits = words[k];
         const float *v = dense + (k << 6);
-        if (std::popcount(bits) >= kVectorMinBits) {
-            a0 = _mm512_add_ps(
-                a0,
-                _mm512_maskz_loadu_ps(static_cast<__mmask16>(bits), v));
-            a1 = _mm512_add_ps(
-                a1, _mm512_maskz_loadu_ps(
-                        static_cast<__mmask16>(bits >> 16), v + 16));
-            a2 = _mm512_add_ps(
-                a2, _mm512_maskz_loadu_ps(
-                        static_cast<__mmask16>(bits >> 32), v + 32));
-            a3 = _mm512_add_ps(
-                a3, _mm512_maskz_loadu_ps(
-                        static_cast<__mmask16>(bits >> 48), v + 48));
-        } else {
-            double s = 0.0;
-            while (bits) {
-                s += v[std::countr_zero(bits)];
-                bits &= bits - 1;
-            }
-            sparse += s;
-        }
+        a0 = _mm512_add_ps(
+            a0, _mm512_maskz_loadu_ps(static_cast<__mmask16>(bits), v));
+        a1 = _mm512_add_ps(a1, _mm512_maskz_loadu_ps(
+                                   static_cast<__mmask16>(bits >> 16),
+                                   v + 16));
+        a2 = _mm512_add_ps(a2, _mm512_maskz_loadu_ps(
+                                   static_cast<__mmask16>(bits >> 32),
+                                   v + 32));
+        a3 = _mm512_add_ps(a3, _mm512_maskz_loadu_ps(
+                                   static_cast<__mmask16>(bits >> 48),
+                                   v + 48));
     }
     (void)nrows;
-    return sparse +
-           static_cast<double>(_mm512_reduce_add_ps(_mm512_add_ps(
-               _mm512_add_ps(a0, a1), _mm512_add_ps(a2, a3))));
+    const __m512 t16 =
+        _mm512_add_ps(_mm512_add_ps(a0, a2), _mm512_add_ps(a1, a3));
+    const __m256 t8 = _mm256_add_ps(_mm512_castps512_ps256(t16),
+                                    _mm512_extractf32x8_ps(t16, 1));
+    const __m128 t4 = _mm_add_ps(_mm256_castps256_ps128(t8),
+                                 _mm256_extractf128_ps(t8, 1));
+    const __m128 t2 = _mm_add_ps(t4, _mm_movehl_ps(t4, t4));
+    return static_cast<double>(
+        _mm_cvtss_f32(_mm_add_ss(t2, _mm_movehdup_ps(t2))));
 }
 
 /**
  * AVX-512 axpy: read-modify-masked-write per 16-lane slice, for every
- * nonzero word however few bits it sets (unlike dot, whose threshold
- * decides its summation order). Every set bit receives exactly one
- * float add, identical to the scalar kernel, so results are
- * bit-for-bit the same on every path.
+ * nonzero word however few bits it sets. Every set bit receives
+ * exactly one float add, identical to the scalar kernel, so results
+ * are bit-for-bit the same on every path.
  */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
+APOLLO_AVX512_TARGET void
 axpyWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
                 float delta, float *dense)
 {
@@ -248,16 +322,30 @@ axpyWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
     (void)nrows;
 }
 
+constexpr Kernels kAvx512 = {dotWordsAvx512, dotBatchAvx512,
+                             dotWordsFastAvx512, axpyWordsAvx512};
+
+#pragma GCC diagnostic pop
+
 #endif // APOLLO_HAVE_AVX512_KERNELS
 
-namespace {
+const bool kUseAvx512 = !kernelOverrideSet("APOLLO_NO_AVX512") &&
+                        implAvailable(Impl::Avx512);
+
+const Kernels &
+bestKernels()
+{
+    return implKernels(kUseAvx512 ? Impl::Avx512 : Impl::Portable);
+}
+
+} // namespace
 
 bool
-detectAvx512()
+implAvailable(Impl impl)
 {
+    if (impl == Impl::Portable)
+        return true;
 #ifdef APOLLO_HAVE_AVX512_KERNELS
-    if (kernelOverrideSet("APOLLO_NO_AVX512"))
-        return false;
     return __builtin_cpu_supports("avx512f") &&
            __builtin_cpu_supports("avx512bw") &&
            __builtin_cpu_supports("avx512dq") &&
@@ -267,9 +355,23 @@ detectAvx512()
 #endif
 }
 
-const bool kUseAvx512 = detectAvx512();
+const char *
+implName(Impl impl)
+{
+    return impl == Impl::Avx512 ? "avx512" : "portable";
+}
 
-} // namespace
+const Kernels &
+implKernels(Impl impl)
+{
+    APOLLO_REQUIRE(implAvailable(impl), "bit kernel ", implName(impl),
+                   " is not available on this host");
+#ifdef APOLLO_HAVE_AVX512_KERNELS
+    if (impl == Impl::Avx512)
+        return kAvx512;
+#endif
+    return kPortable;
+}
 
 bool
 avx512Enabled()
@@ -277,15 +379,9 @@ avx512Enabled()
     return kUseAvx512;
 }
 
-#ifdef APOLLO_HAVE_AVX512_KERNELS
-const DotFn dotWords = kUseAvx512 ? dotWordsAvx512 : dotWordsPortable;
-const AxpyFn axpyWords = kUseAvx512 ? axpyWordsAvx512 : axpyWordsPortable;
-const DotFn dotWordsFast =
-    kUseAvx512 ? dotWordsAvx512Fast : dotWordsPortable;
-#else
-const DotFn dotWords = dotWordsPortable;
-const AxpyFn axpyWords = axpyWordsPortable;
-const DotFn dotWordsFast = dotWordsPortable;
-#endif
+const DotFn dotWords = bestKernels().dot;
+const DotBatchFn dotWordsBatch = bestKernels().dotBatch;
+const AxpyFn axpyWords = bestKernels().axpy;
+const DotFn dotWordsFast = bestKernels().dotFast;
 
 } // namespace apollo::bitkernels

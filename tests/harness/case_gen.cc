@@ -330,6 +330,89 @@ makeTargetQCase(uint64_t seed)
     return c;
 }
 
+BitDotsCase
+makeBitDotsCase(uint64_t seed)
+{
+    Xoshiro256StarStar rng(hashMix(seed ^ 0xb17d07));
+    BitDotsCase c;
+    static const char *kShapes[] = {"nominal", "sub_word", "one_word",
+                                    "tail_word", "long"};
+    const size_t shape = rng.nextBounded(5);
+    c.shape = kShapes[shape];
+    size_t n = 0;
+    switch (shape) {
+    case 1:
+        n = 1 + rng.nextBounded(63);
+        break;
+    case 2:
+        n = 64;
+        break;
+    case 3:
+        n = 64 * (1 + rng.nextBounded(6)) + 1 + rng.nextBounded(63);
+        break;
+    case 4:
+        n = 3000 + rng.nextBounded(2200);
+        break;
+    default:
+        n = 100 + rng.nextBounded(1400);
+        break;
+    }
+
+    const size_t m = 3 + rng.nextBounded(8);
+    c.X.reset(n, m);
+    for (size_t j = 0; j < m; ++j) {
+        const uint64_t kind = rng.nextBounded(6);
+        if (kind == 0)
+            continue; // empty
+        if (kind == 1) { // all ones
+            for (size_t i = 0; i < n; ++i)
+                c.X.setBit(i, j);
+        } else if (kind == 2) { // single bit
+            c.X.setBit(rng.nextBounded(n), j);
+        } else if (kind == 3) { // only the last (possibly partial) word
+            for (size_t i = (n - 1) / 64 * 64; i < n; ++i)
+                if (rng.nextDouble() < 0.5)
+                    c.X.setBit(i, j);
+        } else if (kind == 4 && j > 0) { // duplicate of an earlier column
+            const size_t src = rng.nextBounded(j);
+            for (size_t i = 0; i < n; ++i)
+                if (c.X.get(i, src))
+                    c.X.setBit(i, j);
+        } else {
+            const double density = rng.nextRange(0.01, 0.9);
+            for (size_t i = 0; i < n; ++i)
+                if (rng.nextDouble() < density)
+                    c.X.setBit(i, j);
+        }
+    }
+
+    // Mixed magnitudes (1e-6..1e6, both signs), signed zeros and
+    // subnormals.
+    c.dense.resize(n);
+    for (float &v : c.dense) {
+        const double u = rng.nextDouble();
+        const double sign = rng.nextDouble() < 0.5 ? -1.0 : 1.0;
+        if (u < 0.05)
+            v = static_cast<float>(sign * 0.0);
+        else if (u < 0.10)
+            v = static_cast<float>(
+                sign * std::ldexp(rng.nextRange(0.0, 1.0), -127));
+        else
+            v = static_cast<float>(
+                sign * rng.nextRange(0.1, 1.0) *
+                std::pow(10.0, rng.nextRange(-6.0, 6.0)));
+    }
+
+    const size_t nbatches = 1 + rng.nextBounded(6);
+    for (size_t b = 0; b < nbatches; ++b) {
+        std::vector<uint32_t> batch(1 + rng.nextBounded(bitkernels::kDotBatch));
+        for (uint32_t &id : batch)
+            id = static_cast<uint32_t>(rng.nextBounded(m));
+        c.batches.push_back(std::move(batch));
+    }
+    return c;
+}
+
 BitParallelCase
 makeBitParallelCase(uint64_t seed)
 {

@@ -92,6 +92,23 @@ struct TargetQCase
 TargetQCase makeTargetQCase(uint64_t seed);
 
 /**
+ * A generated packed-bit dot case (solver.bit_dots): columns shaped
+ * empty, all-ones, single-bit, tail-word-only and 1-90% dense (plus
+ * duplicates), row counts around word boundaries up to ~80 words, a
+ * dense vector mixing magnitudes, signed zeros and subnormals, and
+ * column batches of 1..bitkernels::kDotBatch ids (repeats allowed).
+ */
+struct BitDotsCase
+{
+    BitColumnMatrix X;
+    std::vector<float> dense;
+    std::vector<std::vector<uint32_t>> batches;
+    std::string shape;
+};
+
+BitDotsCase makeBitDotsCase(uint64_t seed);
+
+/**
  * A generated bit-parallel streaming case: float model + quantizer bit
  * width + proxy trace + power-of-two window. Shape classes target the
  * packed 64-cycle kernels specifically: proxy counts at and around

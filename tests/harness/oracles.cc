@@ -20,6 +20,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 
@@ -35,6 +36,7 @@
 #include "opm/opm_bitparallel.hh"
 #include "opm/opm_simulator.hh"
 #include "opm/quantize.hh"
+#include "util/bitvec_kernels.hh"
 #include "util/popcnt_kernels.hh"
 #include "control/droop_controller.hh"
 #include "ref/reference_control.hh"
@@ -1587,6 +1589,84 @@ runCoreFrames(uint64_t seed)
                c.control.size());
 }
 
+// ---------------------------------------------------------------------
+// Packed-bit dot kernels (exact comparison, every implementation).
+// ---------------------------------------------------------------------
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/**
+ * Every available bitkernels implementation against ref::dotLaneOrder
+ * and ref::dotFastOrder bit for bit — the single exact dot, each
+ * column of each batch dot, and the fast dot — plus the fast dot
+ * within its dotFastRelErr band of the exact one.
+ */
+std::optional<std::string>
+runBitDots(uint64_t seed)
+{
+    const BitDotsCase c = makeBitDotsCase(seed);
+    const size_t n = c.X.rows();
+    const size_t m = c.X.cols();
+    const size_t words = c.X.wordsPerCol();
+    std::vector<double> want(m);
+    std::vector<double> want_fast(m);
+    std::vector<double> abs_sum(m, 0.0);
+    for (size_t j = 0; j < m; ++j) {
+        want[j] = ref::dotLaneOrder(c.X, j, c.dense);
+        want_fast[j] = ref::dotFastOrder(c.X, j, c.dense);
+        for (size_t i = 0; i < n; ++i)
+            if (c.X.get(i, j))
+                abs_sum[j] += std::abs(static_cast<double>(c.dense[i]));
+    }
+    // The exact dot's own rounding is far below 1e-12 of the sum.
+    const double band = bitkernels::dotFastRelErr(words) + 1e-12;
+    for (int i = 0; i < bitkernels::kImplCount; ++i) {
+        const auto impl = static_cast<bitkernels::Impl>(i);
+        if (!bitkernels::implAvailable(impl))
+            continue;
+        const bitkernels::Kernels &k = bitkernels::implKernels(impl);
+        const char *name = bitkernels::implName(impl);
+        for (size_t j = 0; j < m; ++j) {
+            const double got =
+                k.dot(c.X.colWords(j), words, n, c.dense.data());
+            if (!sameBits(got, want[j]))
+                return fmt("shape=%s n=%zu impl=%s col %zu: dot=%a "
+                           "ref=%a",
+                           c.shape.c_str(), n, name, j, got, want[j]);
+            const double fast =
+                k.dotFast(c.X.colWords(j), words, n, c.dense.data());
+            if (!sameBits(fast, want_fast[j]))
+                return fmt("shape=%s n=%zu impl=%s col %zu: fast=%a "
+                           "ref=%a",
+                           c.shape.c_str(), n, name, j, fast,
+                           want_fast[j]);
+            if (std::abs(fast - want[j]) > band * abs_sum[j])
+                return fmt("shape=%s n=%zu impl=%s col %zu: fast=%a "
+                           "off exact=%a by more than %g * %g",
+                           c.shape.c_str(), n, name, j, fast, want[j],
+                           band, abs_sum[j]);
+        }
+        for (const std::vector<uint32_t> &batch : c.batches) {
+            const uint64_t *ptrs[bitkernels::kDotBatch];
+            double out[bitkernels::kDotBatch];
+            for (size_t t = 0; t < batch.size(); ++t)
+                ptrs[t] = c.X.colWords(batch[t]);
+            k.dotBatch(ptrs, batch.size(), words, n, c.dense.data(), out);
+            for (size_t t = 0; t < batch.size(); ++t)
+                if (!sameBits(out[t], want[batch[t]]))
+                    return fmt("shape=%s n=%zu impl=%s batch of %zu, "
+                               "slot %zu (col %u): dot=%a ref=%a",
+                               c.shape.c_str(), n, name, batch.size(),
+                               t, batch[t], out[t], want[batch[t]]);
+        }
+    }
+    return std::nullopt;
+}
+
 } // namespace
 
 const std::vector<OracleEntry> &
@@ -1608,6 +1688,7 @@ oracleRegistry()
         {"solver.cd_dense", runCdDense},
         {"solver.target_q", runTargetQ},
         {"solver.shard_prefilter", runShardPrefilter},
+        {"solver.bit_dots", runBitDots},
         {"gen.toggle_columns", runToggleColumns},
         {"gen.fitness_power", runFitnessPower},
         {"gen.fitness_batch", runFitnessBatch},

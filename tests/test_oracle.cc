@@ -33,7 +33,7 @@ TEST(OracleRegistry, CoversEveryProductionPath)
         "opm.stream_quantized",  "stream.bitparallel_vs_scalar",
         "solver.cd_bits",        "solver.cd_counts",
         "solver.cd_dense",       "solver.target_q",
-        "solver.shard_prefilter",
+        "solver.shard_prefilter", "solver.bit_dots",
         "gen.toggle_columns",    "gen.fitness_power",
         "gen.fitness_batch",     "gen.ga_pipeline",
         "control.droop_trigger",

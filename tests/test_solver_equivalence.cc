@@ -20,6 +20,7 @@
 #include "gen/ga_generator.hh"
 #include "ml/coordinate_descent.hh"
 #include "ml/feature_view.hh"
+#include "ml/solver_path.hh"
 #include "rtl/design_builder.hh"
 #include "trace/toggle_trace.hh"
 #include "util/bitvec.hh"
@@ -268,17 +269,19 @@ TEST_P(BitKernelAgreement, DotAndAxpyMatchScalarReference)
         const double tol = 1e-9 * (std::abs(ref) + xnorm * norm_v) +
                            1e-12;
         // Exact kernels: double accumulation, any lane split.
-        EXPECT_NEAR(bitkernels::dotWordsPortable(m.colWords(col),
-                                                 m.wordsPerCol(), nrows,
-                                                 v.data()),
+        EXPECT_NEAR(bitkernels::implKernels(bitkernels::Impl::Portable)
+                        .dot(m.colWords(col), m.wordsPerCol(), nrows,
+                             v.data()),
                     ref, tol);
         EXPECT_NEAR(m.dotColumn(col, v.data()), ref, tol);
         // Fast kernel: float accumulation within the documented bound.
         EXPECT_NEAR(bitkernels::dotWordsFast(m.colWords(col),
                                              m.wordsPerCol(), nrows,
                                              v.data()),
-                    ref, bitkernels::kDotFastRelErr * xnorm * norm_v +
-                             1e-12);
+                    ref,
+                    bitkernels::dotFastRelErr(m.wordsPerCol()) * xnorm *
+                            norm_v +
+                        1e-12);
 
         // axpy: every implementation must be bit-identical (exactly
         // one float add per set bit).
@@ -289,10 +292,59 @@ TEST_P(BitKernelAgreement, DotAndAxpyMatchScalarReference)
         EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
                                  nrows * sizeof(float)));
         std::vector<float> c = v;
-        bitkernels::axpyWordsPortable(m.colWords(col), m.wordsPerCol(),
-                                      nrows, 0.37f, c.data());
+        bitkernels::implKernels(bitkernels::Impl::Portable)
+            .axpy(m.colWords(col), m.wordsPerCol(), nrows, 0.37f,
+                  c.data());
         EXPECT_EQ(0, std::memcmp(a.data(), c.data(),
                                  nrows * sizeof(float)));
+    }
+}
+
+TEST_P(BitKernelAgreement, PortableAndAvx512SumAlike)
+{
+    // Each dot has one summation order, implemented once per dispatch
+    // path: every implementation must return the same bits, and each
+    // slot of a batch dot the single dot's bits.
+    const auto [nrows, density] = GetParam();
+    BitColumnMatrix m(nrows, 4);
+    Xoshiro256StarStar rng(0xbead + nrows);
+    std::vector<float> v(nrows);
+    for (size_t i = 0; i < nrows; ++i) {
+        v[i] = static_cast<float>(rng.nextGaussian() *
+                                  std::pow(10.0, rng.nextRange(-3, 3)));
+        m.setBit(i, 2); // all-ones column; column 0 stays empty
+        if (rng.nextDouble() < density)
+            m.setBit(i, 1);
+        if (rng.nextDouble() < density * 0.1)
+            m.setBit(i, 3);
+    }
+    using bitkernels::Impl;
+    const bitkernels::Kernels &portable =
+        bitkernels::implKernels(Impl::Portable);
+    const uint64_t *cols[] = {m.colWords(0), m.colWords(1), m.colWords(2),
+                              m.colWords(3)};
+    double batch[4];
+    portable.dotBatch(cols, 4, m.wordsPerCol(), nrows, v.data(), batch);
+    for (size_t col = 0; col < 4; ++col) {
+        const double dot =
+            portable.dot(cols[col], m.wordsPerCol(), nrows, v.data());
+        const double fast =
+            portable.dotFast(cols[col], m.wordsPerCol(), nrows, v.data());
+        EXPECT_EQ(0, std::memcmp(&dot, &batch[col], sizeof(double)));
+        EXPECT_EQ(dot, m.dotColumn(col, v.data()));
+        if (!bitkernels::implAvailable(Impl::Avx512))
+            continue;
+        const bitkernels::Kernels &avx = bitkernels::implKernels(Impl::Avx512);
+        double avx_batch[4];
+        avx.dotBatch(cols, 4, m.wordsPerCol(), nrows, v.data(), avx_batch);
+        const double avx_dot =
+            avx.dot(cols[col], m.wordsPerCol(), nrows, v.data());
+        const double avx_fast =
+            avx.dotFast(cols[col], m.wordsPerCol(), nrows, v.data());
+        EXPECT_EQ(0, std::memcmp(&dot, &avx_dot, sizeof(double))) << col;
+        EXPECT_EQ(0, std::memcmp(&dot, &avx_batch[col], sizeof(double)))
+            << col;
+        EXPECT_EQ(0, std::memcmp(&fast, &avx_fast, sizeof(double))) << col;
     }
 }
 
@@ -300,12 +352,158 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, BitKernelAgreement,
     ::testing::Values(KernelCase{64, 0.1},   // exactly one word
                       KernelCase{130, 0.5},  // partial tail word
-                      KernelCase{1000, 0.03},// sparse: ctz path
-                      KernelCase{1000, 0.7}),// dense: vector path
+                      KernelCase{1000, 0.03},// sparse words
+                      KernelCase{1000, 0.7}, // dense words
+                      KernelCase{200000, 0.3}),// long: 3,125 words
     [](const auto &info) {
         return "n" + std::to_string(info.param.nrows) + "_d" +
                std::to_string(static_cast<int>(info.param.density * 100));
     });
+
+TEST(BitKernelBand, FastDotBandGrowsWithColumnLength)
+{
+    // gamma_k = k u / (1 - k u) over k = words + 6 float adds.
+    auto gamma = [](double k) {
+        return k * 0x1p-24 / (1.0 - k * 0x1p-24);
+    };
+    EXPECT_EQ(bitkernels::dotFastRelErr(157), bitkernels::kDotFastRelErr);
+    EXPECT_EQ(bitkernels::dotFastRelErr(1671), bitkernels::kDotFastRelErr);
+    EXPECT_LT(gamma(1671 + 6), bitkernels::kDotFastRelErr);
+    EXPECT_GT(bitkernels::dotFastRelErr(1672), bitkernels::kDotFastRelErr);
+    EXPECT_EQ(bitkernels::dotFastRelErr(3125), gamma(3125 + 6));
+    EXPECT_GT(bitkernels::dotFastRelErr(3125), 1.8e-4);
+}
+
+TEST(BitKernelBand, AbsorbingLongColumnStaysInsideDerivedBand)
+{
+    // 3,125 all-ones words: each float chain starts at 1.0 and then
+    // absorbs 3,124 adds of the float just under 2^-24, each of which
+    // rounds away, so the fast dot loses 3124 * (2^-24 - 2^-48) of
+    // every chain — beyond kDotFastRelErr, inside dotFastRelErr(3125).
+    const size_t words = 3125;
+    const size_t nrows = words * 64;
+    BitColumnMatrix m(nrows, 1);
+    for (size_t i = 0; i < nrows; ++i)
+        m.setBit(i, 0);
+    const float tiny = std::nextafter(0x1p-24f, 0.0f);
+    std::vector<float> v(nrows, tiny);
+    for (size_t i = 0; i < 64; ++i)
+        v[i] = 1.0f;
+    const double sum =
+        64.0 + 64.0 * static_cast<double>(words - 1) * tiny;
+    for (int i = 0; i < bitkernels::kImplCount; ++i) {
+        const auto impl = static_cast<bitkernels::Impl>(i);
+        if (!bitkernels::implAvailable(impl))
+            continue;
+        const bitkernels::Kernels &k = bitkernels::implKernels(impl);
+        const double exact = k.dot(m.colWords(0), words, nrows, v.data());
+        const double fast = k.dotFast(m.colWords(0), words, nrows, v.data());
+        EXPECT_NEAR(exact, sum, 1e-12 * sum) << bitkernels::implName(impl);
+        EXPECT_EQ(fast, 64.0) << bitkernels::implName(impl);
+        const double err = std::abs(fast - exact);
+        EXPECT_GT(err, bitkernels::kDotFastRelErr * sum);
+        EXPECT_LE(err, bitkernels::dotFastRelErr(words) * sum);
+    }
+}
+
+/**
+ * Forwards every FeatureView call to a BitFeatureView except
+ * dotColumns, which stays the FeatureView default (one dot() per
+ * column). It is not one of the concrete views fit() dispatches on, so
+ * a fit through it takes the generic path and never batches a dot.
+ */
+class ForwardingView final : public FeatureView
+{
+  public:
+    explicit ForwardingView(const BitFeatureView &inner) : inner_(inner) {}
+
+    size_t rows() const override { return inner_.rows(); }
+    size_t cols() const override { return inner_.cols(); }
+    double
+    dot(size_t col, const float *v) const override
+    {
+        return inner_.dot(col, v);
+    }
+    void
+    axpy(size_t col, float delta, float *v) const override
+    {
+        inner_.axpy(col, delta, v);
+    }
+    void
+    dotColumnsFast(std::span<const uint32_t> cols, const float *v,
+                   double *out) const override
+    {
+        inner_.dotColumnsFast(cols, v, out);
+    }
+    double sumSquares(size_t col) const override
+    {
+        return inner_.sumSquares(col);
+    }
+    double sum(size_t col) const override { return inner_.sum(col); }
+    double
+    value(size_t row, size_t col) const override
+    {
+        return inner_.value(row, col);
+    }
+
+  private:
+    const BitFeatureView &inner_;
+};
+
+TEST(SolverBatchedDots, UnbatchedGenericFitIsBitIdentical)
+{
+    // Batched zero-weight sweeps and batched gradient passes must not
+    // move a single bit of a target-Q search against the same search
+    // through single dots.
+    const size_t n = 1500;
+    const size_t m = 600;
+    BitColumnMatrix X(n, m);
+    Xoshiro256StarStar rng(0xba7c4);
+    for (size_t j = 0; j < m; ++j) {
+        const double density = 0.01 + 0.6 * rng.nextDouble() *
+                                          rng.nextDouble();
+        for (size_t i = 0; i < n; ++i)
+            if (rng.nextDouble() < density)
+                X.setBit(i, j);
+    }
+    std::vector<float> y(n, 3.0f);
+    for (size_t k = 0; k < 20; ++k)
+        X.axpyColumn(k * (m / 20) + 7,
+                     static_cast<float>(0.3 + rng.nextDouble()), y.data());
+    for (float &v : y)
+        v += static_cast<float>(0.05 * rng.nextGaussian());
+
+    const BitFeatureView bits(X);
+    const ForwardingView fwd(bits);
+    for (PenaltyKind kind : {PenaltyKind::Lasso, PenaltyKind::Mcp}) {
+        CdConfig cfg;
+        cfg.penalty.kind = kind;
+        CdSolver batched_solver(bits, y);
+        CdSolver single_solver(fwd, y);
+        TargetQDiagnostics batched_diag;
+        TargetQDiagnostics single_diag;
+        const CdResult batched =
+            solveForTargetQ(batched_solver, cfg, 25, &batched_diag);
+        const CdResult single =
+            solveForTargetQ(single_solver, cfg, 25, &single_diag);
+        SCOPED_TRACE(kind == PenaltyKind::Mcp ? "mcp" : "lasso");
+        ASSERT_EQ(batched.w.size(), single.w.size());
+        EXPECT_EQ(0, std::memcmp(batched.w.data(), single.w.data(),
+                                 batched.w.size() * sizeof(float)));
+        EXPECT_EQ(0, std::memcmp(&batched.intercept, &single.intercept,
+                                 sizeof(double)));
+        EXPECT_EQ(batched.sweeps, single.sweeps);
+        EXPECT_EQ(batched.kktPasses, single.kktPasses);
+        EXPECT_EQ(batched.kktDots, single.kktDots);
+        EXPECT_EQ(batched_diag.pathPoints, single_diag.pathPoints);
+        EXPECT_EQ(batched_diag.bisections, single_diag.bisections);
+        EXPECT_EQ(batched_diag.totalSweeps, single_diag.totalSweeps);
+        EXPECT_EQ(batched_diag.totalKktPasses, single_diag.totalKktPasses);
+        EXPECT_EQ(batched_diag.totalKktDots, single_diag.totalKktDots);
+        EXPECT_GT(batched_diag.totalKktPasses, 0u);
+        EXPECT_EQ(batched.nonzeros(), 25u);
+    }
+}
 
 } // namespace
 } // namespace apollo

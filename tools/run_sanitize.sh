@@ -58,10 +58,12 @@ elif [[ "$SANITIZER" == "tsan" ]]; then
     # fan-out, and the flat timing core against its reference (GA
     # fitness and the droop lab run it on pool threads), the batched
     # fitness evaluator's row tiles on 1-3 worker pools
-    # (gen_fitness_batch), and nested and concurrent parallelFor calls
-    # (ThreadPool).
+    # (gen_fitness_batch), nested and concurrent parallelFor calls
+    # (ThreadPool), and the packed-bit dots: the kernel oracle and
+    # agreement tests, and batched vs single-dot target-Q searches whose
+    # gradient passes fan over the global pool (SolverBatchedDots).
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool'
+        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool|solver_bit_dots|BitKernelAgreement|SolverBatchedDots'
 else
     # Streaming + serving suites, the flat timing core's ring indexing
     # (UarchCore), plus the differential-oracle layer (label "oracle":
@@ -69,8 +71,10 @@ else
     # corpus-replay fuzz drivers (label "fuzz"). The batched fitness
     # oracle (gen_fitness_batch) and the pool re-entry test (ThreadPool)
     # run in both passes, so the portable kernels' multi-run binds are
-    # checked too.
-    suites='ThreadPool|gen_fitness_batch|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+    # checked too, and so do the packed-bit dot oracle, agreement, band
+    # and batched-sweep tests (solver_bit_dots, BitKernel*,
+    # SolverBatchedDots).
+    suites='ThreadPool|gen_fitness_batch|solver_bit_dots|BitKernelAgreement|BitKernelBand|SolverBatchedDots|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
     # The same suites on the portable kernels: ASan does not check
