@@ -5,7 +5,8 @@
  * {policy} x {PDN} grid through the real OPM -> throttle loop on a
  * tiny trained design and records the Pareto summary, the lab's stage
  * times (simulate, calibrate, truth, assemble: the obs trace spans of
- * one sweep), its truth-power runs and dedupe hits, and obs counter
+ * one sweep, plus its closed-loop runs' and OPM replays' spans summed
+ * over workers), its truth-power runs and dedupe hits, and obs counter
  * deltas to BENCH_control.json, headed by the host and build. Gates:
  *   - coverage: every grid cell produces a row,
  *   - dominance: some OPM-guided policy strictly reduces droop cycles
@@ -13,7 +14,8 @@
  *   - determinism: the report is byte-identical when re-run on a
  *     different thread count,
  *   - reference: the report equals ref::droopLabPerCell's, which runs
- *     and scores every baseline and cell on its own.
+ *     and scores every baseline and cell on its own, with its proxy
+ *     bits from ActivityEngine::toggles per proxy per cycle.
  * Usage: bench_droop_lab [--smoke] [--cycles=N] [--out=PATH]
  */
 
@@ -61,13 +63,19 @@ trainTinyModel(const Netlist &netlist)
     return trainApollo(tb.build(), cfg, "tiny").model;
 }
 
-/** Seconds per lab stage, summed from one sweep's trace spans. */
+/**
+ * Seconds per lab stage, summed from one sweep's trace spans, and the
+ * summed spans of its closed-loop runs and OPM replays (pool workers'
+ * busy time inside the simulate and calibrate stages).
+ */
 struct StageTimes
 {
     double simulate = 0.0;
     double calibrate = 0.0;
     double truth = 0.0;
     double assemble = 0.0;
+    double closedLoop = 0.0;
+    double replay = 0.0;
 };
 
 /** Sum the durations of the stage spans in a trace_event document. */
@@ -80,6 +88,8 @@ stageTimes(const std::string &trace_json)
         {"control.calibrate", &t.calibrate},
         {"control.truth_batch", &t.truth},
         {"control.assemble", &t.assemble},
+        {"control.closed_loop", &t.closedLoop},
+        {"control.replay", &t.replay},
     };
     std::istringstream is(trace_json);
     std::string line;
@@ -150,9 +160,10 @@ main(int argc, char **argv)
     const uint64_t truth_dedup = delta("apollo.control.truth_dedup");
     report->render(std::cout);
     std::printf("  lab wall-clock: %.3fs (simulate %.3fs, calibrate "
-                "%.3fs, truth %.3fs, assemble %.3fs)\n",
+                "%.3fs, truth %.3fs, assemble %.3fs; runs %.3fs and "
+                "replays %.3fs summed over workers)\n",
                 seconds, stages.simulate, stages.calibrate, stages.truth,
-                stages.assemble);
+                stages.assemble, stages.closedLoop, stages.replay);
     std::printf("  truth power: %llu runs scored, %llu dedupe hits\n",
                 static_cast<unsigned long long>(truth_runs),
                 static_cast<unsigned long long>(truth_dedup));
@@ -168,7 +179,9 @@ main(int argc, char **argv)
     os << "  \"stages\": {\"simulate_seconds\": " << stages.simulate
        << ", \"calibrate_seconds\": " << stages.calibrate
        << ", \"truth_seconds\": " << stages.truth
-       << ", \"assemble_seconds\": " << stages.assemble << "},\n";
+       << ", \"assemble_seconds\": " << stages.assemble
+       << ", \"closed_loop_seconds\": " << stages.closedLoop
+       << ", \"replay_seconds\": " << stages.replay << "},\n";
     os << "  \"truth_runs\": " << truth_runs << ",\n";
     os << "  \"truth_dedup\": " << truth_dedup << ",\n";
     os << "  \"obs\": " << obs_json << ",\n";

@@ -22,9 +22,11 @@
  * three shapes: one whole-window bind (the single-run truth-power
  * shape), 64-row binds (the export shape), and one bind of 8 runs
  * with shared cycle stamps, 8 phase_mix seeds filled by one kernel
- * pass per signal (the batched truth-power shape). It reports ns per
- * toggle bit, and the time of one whole-window stride-1
- * FitnessEvaluator::cyclePowers.
+ * pass per signal (the batched truth-power shape). The row orientation
+ * (togglekernels::RowKernel, the closed loop's per-cycle path) binds
+ * every signal once and fills one row per call over the same rows. It
+ * reports ns per toggle bit (signal-row), and the time of one
+ * whole-window stride-1 FitnessEvaluator::cyclePowers.
  *
  * Gates (exit 1 with a FAIL: line):
  *  (a) both rows produce the same per-generation best/worst fitness
@@ -41,8 +43,9 @@
  *      overhead;
  *  (d) in the two single-run ablation shapes, every implementation's
  *      columns equal the dispatched implementation's word for word,
- *      and in the 8-run shape each run's columns equal its own
- *      single-run fill (smoke mode too).
+ *      in the 8-run shape each run's columns equal its own single-run
+ *      fill, and every implementation's rows equal
+ *      ActivityEngine::toggles bit for bit (smoke mode too).
  *
  * Dataset materialization (DatasetBuilder::build: every signal's
  * toggle columns, then the oracle label pass) is reported but not
@@ -260,11 +263,14 @@ struct KernelRun
     double windowNsPerBit = 1e300;
     double blockNsPerBit = 1e300;
     double bind8NsPerBit = 1e300;
+    double rowNsPerBit = 1e300;
     /** Both single-run shapes equal the dispatched kernel's, word for
      *  word. */
     bool matchesDispatched = true;
     /** Each run of the 8-run bind equals its own single-run fill. */
     bool bind8MatchesSingle = true;
+    /** Every row equals ActivityEngine::toggles, bit for bit. */
+    bool rowsMatchDefinition = true;
 };
 
 struct KernelAblation
@@ -277,7 +283,8 @@ struct KernelAblation
     bool identical() const
     {
         for (const KernelRun &r : runs)
-            if (!r.matchesDispatched || !r.bind8MatchesSingle)
+            if (!r.matchesDispatched || !r.bind8MatchesSingle ||
+                !r.rowsMatchDefinition)
                 return false;
         return !runs.empty();
     }
@@ -341,6 +348,26 @@ fillAllBindings(const ActivityEngine &engine,
 }
 
 /**
+ * Every signal at every row of @p frames from one row kernel of
+ * @p impl, bound once, row-major (wordCount() words per row). Returns
+ * the seconds the row fills took.
+ */
+double
+fillAllRows(const ActivityEngine &engine,
+            std::span<const ActivityFrame> frames,
+            std::span<const uint32_t> ids, togglekernels::Impl impl,
+            std::vector<uint64_t> &rows_out)
+{
+    const togglekernels::RowKernel rows(engine, ids, impl);
+    const size_t words = rows.wordCount();
+    rows_out.assign(frames.size() * words, 0);
+    const auto t0 = Clock::now();
+    for (size_t i = 0; i < frames.size(); ++i)
+        rows.fill(frames, i, 0, rows_out.data() + i * words);
+    return secondsBetween(t0, Clock::now());
+}
+
+/**
  * The toggle-kernel ablation on one thread: phase_mix frames on
  * @p netlist, every signal, each available implementation in both
  * shapes, checked against the dispatched implementation.
@@ -370,6 +397,17 @@ runKernelAblation(const Netlist &netlist, size_t rows, int reps)
                        " ran ", runs[r].size(), " of ", abl.rows, " rows");
     }
 
+    // The row shape's definition: toggles() per signal per row.
+    std::vector<uint32_t> ids(abl.signals);
+    for (size_t s = 0; s < ids.size(); ++s)
+        ids[s] = static_cast<uint32_t>(s);
+    const size_t row_words = (abl.signals + 63) / 64;
+    std::vector<uint64_t> want_rows(abl.rows * row_words, 0);
+    for (size_t i = 0; i < abl.rows; ++i)
+        for (size_t s = 0; s < abl.signals; ++s)
+            if (engine.toggles(ids[s], frames, i))
+                want_rows[i * row_words + s / 64] |= 1ULL << (s % 64);
+
     std::vector<uint64_t> want_window, want_blocks, got;
     fillAllColumns(engine, frames, abl.signals, togglekernels::bestImpl(),
                    false, want_window);
@@ -394,6 +432,13 @@ runKernelAblation(const Netlist &netlist, size_t rows, int reps)
                                      true, got) / bits);
             run.matchesDispatched =
                 run.matchesDispatched && got == want_blocks;
+        }
+        for (int rep = 0; rep < reps; ++rep) {
+            run.rowNsPerBit = std::min(
+                run.rowNsPerBit,
+                1e9 * fillAllRows(engine, frames, ids, impl, got) / bits);
+            run.rowsMatchDefinition =
+                run.rowsMatchDefinition && got == want_rows;
         }
         // The 8-run shape after the single-run ones, in its own buffer
         // (8x the output), so it does not evict their working set.
@@ -487,10 +532,13 @@ writeJson(const std::string &path, const char *mode,
            << "\", \"window_ns_per_bit\": " << r.windowNsPerBit
            << ", \"block64_ns_per_bit\": " << r.blockNsPerBit
            << ", \"bind8_ns_per_bit\": " << r.bind8NsPerBit
+           << ", \"row_ns_per_bit\": " << r.rowNsPerBit
            << ", \"matches_dispatched\": "
            << (r.matchesDispatched ? "true" : "false")
            << ", \"bind8_matches_single\": "
-           << (r.bind8MatchesSingle ? "true" : "false") << "}";
+           << (r.bind8MatchesSingle ? "true" : "false")
+           << ", \"rows_match_definition\": "
+           << (r.rowsMatchDefinition ? "true" : "false") << "}";
     }
     os << "], \"cycle_powers_seconds\": " << abl.cyclePowersSeconds
        << ", \"cycle_powers_ns_per_bit\": "
@@ -607,11 +655,14 @@ main(int argc, char **argv)
                 togglekernels::implName(togglekernels::bestImpl()));
     for (const KernelRun &r : abl.runs)
         std::printf("  %-8s window %.3f ns/bit  64-row blocks %.3f "
-                    "ns/bit  %zu-run bind %.3f ns/bit%s%s\n",
+                    "ns/bit  %zu-run bind %.3f ns/bit  rows %.3f "
+                    "ns/bit%s%s%s\n",
                     togglekernels::implName(r.impl), r.windowNsPerBit,
                     r.blockNsPerBit, kAblationBindings, r.bind8NsPerBit,
+                    r.rowNsPerBit,
                     r.matchesDispatched ? "" : "  COLUMN MISMATCH",
-                    r.bind8MatchesSingle ? "" : "  BINDING MISMATCH");
+                    r.bind8MatchesSingle ? "" : "  BINDING MISMATCH",
+                    r.rowsMatchDefinition ? "" : "  ROW MISMATCH");
     std::printf("  cyclePowers (stride 1, whole window): %.3fs\n",
                 abl.cyclePowersSeconds);
 
@@ -642,8 +693,9 @@ main(int argc, char **argv)
     if (!abl.identical()) {
         std::fprintf(stderr,
                      "FAIL: a toggle kernel's columns differ from the "
-                     "dispatched kernel's, or a run of the %zu-run bind "
-                     "from its own fill\n",
+                     "dispatched kernel's, a run of the %zu-run bind "
+                     "from its own fill, or its rows from "
+                     "ActivityEngine::toggles\n",
                      kAblationBindings);
         return 1;
     }

@@ -36,11 +36,24 @@
  *    predecessor's plus one, checked lane by lane, and with a gather
  *    otherwise.
  *
+ * The row orientation (RowKernel) evaluates a bound list of Q signals
+ * at one row per call, 16 signals per AVX-512 vector, for the closed
+ * loop that needs one cycle's proxy bits as soon as the cycle is
+ * simulated. Each lane carries its signal's draw seed and rule
+ * constants, so a group's draws hash the row's one cycle stamp under
+ * 16 seeds, and its activity and data are gathered from the frames at
+ * each lane's lookback row. The lanes stay in signal order: every rule
+ * a group holds is evaluated for the whole group and the pass masks
+ * are blended by the lanes' kinds, so each group's 16 bits land in
+ * place. The threshold and compare code is the column kernel's. The
+ * portable row kernel runs the scalar definitions lane by lane with
+ * the per-signal lookups done at bind time.
+ *
  * There is no AVX2 version: the draw needs AVX-512DQ's 64-bit lane
  * multiply. Dispatch: bestImpl() is resolved once per process, and
- * APOLLO_NO_AVX512 (util/kernel_env.hh) forces Portable. implFill()
- * reaches every available implementation for the equivalence tests
- * and the bench ablation.
+ * APOLLO_NO_AVX512 (util/kernel_env.hh) forces Portable for both
+ * orientations. implFill() and implRow() reach every available
+ * implementation for the equivalence tests and the bench ablation.
  */
 
 #ifndef APOLLO_ACTIVITY_TOGGLE_KERNELS_HH
@@ -48,8 +61,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "rtl/signal.hh"
+#include "uarch/activity_frame.hh"
+
+namespace apollo {
+class ActivityEngine;
+} // namespace apollo
 
 namespace apollo::togglekernels {
 
@@ -130,6 +150,89 @@ FillFn implFill(Impl impl);
 
 /** Best available implementation after the override (cached). */
 Impl bestImpl();
+
+/** Signals per row-kernel group: one AVX-512 float vector. */
+inline constexpr size_t kRowGroup = 16;
+
+/**
+ * Q signals bound for row evaluation, lane q holding signal q. Every
+ * per-lane array covers lanes() = Q rounded up to a multiple of 16.
+ * Padding lanes belong to no kind group, so they set no bit.
+ */
+struct RowLanes
+{
+    /** Q, the number of bound signals. */
+    size_t count = 0;
+    /** Largest lookback of any lane (gated clocks read row i). */
+    size_t maxLatency = 0;
+    /** Each lane's signal, for the portable kernel's definitions. */
+    std::vector<const Signal *> sig;
+    std::vector<SignalKind> kind;
+    std::vector<uint32_t> unit;
+    /** Lookback rows: the signal's latency, 0 for gated clocks. */
+    std::vector<uint32_t> latency;
+    /** signalDrawSeed, and busDrawSeed for BusBit lanes. */
+    std::vector<uint64_t> seed;
+    std::vector<uint64_t> busSeed;
+    /** Toggle's constants, and BusBit's event sensitivity. */
+    std::vector<float> baseRate;
+    std::vector<float> actSens;
+    std::vector<float> dataSens;
+    std::vector<float> eventSens;
+    /**
+     * Per clamped lookback d in [0, maxLatency], lanes() byte offsets
+     * of each lane's unit activity from frame i - d, the earliest row
+     * any lane reads when min(i - segment_begin, maxLatency) == d
+     * (data sits a fixed distance after activity).
+     */
+    std::vector<int32_t> offset;
+    /** Per 16-lane group, the lanes of each kind (bit l: lane 16g+l). */
+    std::vector<uint16_t> gated;
+    std::vector<uint16_t> clockEnable;
+    std::vector<uint16_t> busBit;
+    std::vector<uint16_t> toggle;
+
+    size_t lanes() const { return kind.size(); }
+};
+
+/**
+ * out[w] for w < (s.count + 63) / 64: bit q set iff
+ * ActivityEngine::toggles(signal of lane q, frames, i, segment_begin),
+ * bits at or past s.count zero. Reads no row before segment_begin or
+ * after i; requires segment_begin <= i.
+ */
+using RowFn = void (*)(const RowLanes &s, const ActivityFrame *frames,
+                       size_t i, size_t segment_begin, uint64_t *out);
+
+/** Row entry point of @p impl; requires implAvailable(impl). */
+RowFn implRow(Impl impl);
+
+/**
+ * A list of signals bound once and evaluated at one row per call: the
+ * production per-cycle toggle path (the closed loop's proxy bits).
+ */
+class RowKernel
+{
+  public:
+    RowKernel(const ActivityEngine &engine,
+              std::span<const uint32_t> sig_ids, Impl impl = bestImpl());
+
+    size_t wordCount() const { return (lanes_.count + 63) / 64; }
+    Impl impl() const { return impl_; }
+
+    /**
+     * Bit q of out[0, wordCount()) = toggles(sig_ids[q], frames, i,
+     * segment_begin); bits at or past sig_ids.size() are zero. Requires
+     * segment_begin <= i < frames.size().
+     */
+    void fill(std::span<const ActivityFrame> frames, size_t i,
+              size_t segment_begin, uint64_t *out) const;
+
+  private:
+    RowLanes lanes_;
+    Impl impl_;
+    RowFn fn_;
+};
 
 } // namespace apollo::togglekernels
 

@@ -1,6 +1,5 @@
 #include "control/closed_loop.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "gen/fitness_eval.hh"
@@ -15,21 +14,9 @@ ClosedLoopRunner::ClosedLoopRunner(const Netlist &netlist,
                                    const CoreParams &core_params,
                                    const PowerParams &power_params)
     : netlist_(netlist), model_(model), coreParams_(core_params),
-      powerParams_(power_params), engine_(netlist), oracle_(netlist,
-                                                           power_params)
+      powerParams_(power_params), engine_(netlist),
+      oracle_(netlist, power_params), proxies_(engine_, model_.proxyIds)
 {}
-
-void
-ClosedLoopRunner::packProxyBits(std::span<const ActivityFrame> frames,
-                                size_t i,
-                                std::vector<uint64_t> &words) const
-{
-    std::fill(words.begin(), words.end(), 0);
-    for (size_t q = 0; q < model_.proxyIds.size(); ++q) {
-        if (engine_.toggles(model_.proxyIds[q], frames, i))
-            words[q >> 6] |= 1ULL << (q & 63);
-    }
-}
 
 StatusOr<ClosedLoopResult>
 ClosedLoopRunner::run(const Program &prog, const ClosedLoopConfig &config)
@@ -51,6 +38,7 @@ ClosedLoopRunner::simulate(const Program &prog,
         return Status::invalidArgument("closed loop needs maxCycles >= 1");
     if (Status st = config.controller.validate(); !st.ok())
         return st;
+    APOLLO_TRACE_SPAN("control.closed_loop");
 
     OpmSimulator opm(model_, config.opmWindow);
     const bool controlled =
@@ -61,7 +49,7 @@ ClosedLoopRunner::simulate(const Program &prog,
     std::vector<ActivityFrame> &frames = result.frames;
     frames.reserve(config.maxCycles);
     result.estPower.reserve(config.maxCycles);
-    std::vector<uint64_t> words((model_.proxyIds.size() + 63) / 64);
+    std::vector<uint64_t> words(proxies_.wordCount());
     double held = 0.0;
 
     TimingCore core(coreParams_);
@@ -69,7 +57,7 @@ ClosedLoopRunner::simulate(const Program &prog,
         prog, config.maxCycles,
         [&](const ActivityFrame &f) { frames.push_back(f); },
         [&](const ActivityFrame &, uint64_t cycle, Throttle &throttle) {
-            packProxyBits(frames, frames.size() - 1, words);
+            proxies_.fill(frames, frames.size() - 1, 0, words.data());
             const OpmSimulator::Output out = opm.step(words.data());
             if (out.valid) {
                 held = out.power;
@@ -92,13 +80,14 @@ std::vector<float>
 ClosedLoopRunner::replayEstimate(std::span<const ActivityFrame> frames,
                                  uint32_t opm_window)
 {
+    APOLLO_TRACE_SPAN("control.replay");
     OpmSimulator opm(model_, opm_window);
-    std::vector<uint64_t> words((model_.proxyIds.size() + 63) / 64);
+    std::vector<uint64_t> words(proxies_.wordCount());
     std::vector<float> est;
     est.reserve(frames.size());
     double held = 0.0;
     for (size_t i = 0; i < frames.size(); ++i) {
-        packProxyBits(frames, i, words);
+        proxies_.fill(frames, i, 0, words.data());
         const OpmSimulator::Output out = opm.step(words.data());
         if (out.valid)
             held = out.power;

@@ -2,11 +2,13 @@
  * @file
  * The closed OPM -> throttle loop. One run simulates a program on the
  * timing core while, per recorded cycle, the just-emitted ActivityFrame
- * is turned into the Q proxy toggle bits, pushed through the bit-true
- * OpmSimulator, and fed to a DroopController that pulses the core's
- * issue Throttle. Throttling changes the next cycles' activity, which
- * changes the power the RLC PDN sees — unlike the analytic
- * simulateWithMitigation current cap, the loop is genuinely closed.
+ * is turned into the Q proxy toggle bits (the fused toggle kernel's row
+ * orientation, bound to the proxies once per runner), pushed through
+ * the bit-true OpmSimulator, and fed to a DroopController that pulses
+ * the core's issue Throttle. Throttling changes the next cycles'
+ * activity, which changes the power the RLC PDN sees — unlike the
+ * analytic simulateWithMitigation current cap, the loop is genuinely
+ * closed.
  *
  * Ground-truth per-cycle power is computed after the run from the
  * collected (throttled) frames with the finalized oracle
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "activity/activity_engine.hh"
+#include "activity/toggle_kernels.hh"
 #include "control/droop_controller.hh"
 #include "isa/program.hh"
 #include "opm/quantize.hh"
@@ -109,15 +112,14 @@ class ClosedLoopRunner
                 ThreadPool *pool) const;
 
   private:
-    void packProxyBits(std::span<const ActivityFrame> frames, size_t i,
-                       std::vector<uint64_t> &words) const;
-
     const Netlist &netlist_;
     QuantizedModel model_;
     CoreParams coreParams_;
     PowerParams powerParams_;
     ActivityEngine engine_;
     PowerOracle oracle_;
+    /** The model's proxies, bound for one row per cycle. */
+    togglekernels::RowKernel proxies_;
 };
 
 } // namespace apollo::control

@@ -61,12 +61,17 @@ percentileCut(std::span<const double> values, double q)
     APOLLO_REQUIRE(!values.empty(), "percentile cut of empty series");
     APOLLO_REQUIRE(q >= 0.0 && q <= 1.0,
                    "percentile must be in [0, 1], got ", q);
-    std::vector<double> sorted(values.begin(), values.end());
-    std::sort(sorted.begin(), sorted.end());
+    // `<` orders no NaN, so neither a sort nor a selection would be
+    // defined on one.
+    for (size_t i = 0; i < values.size(); ++i)
+        APOLLO_REQUIRE(!std::isnan(values[i]),
+                       "percentile cut of a series with NaN at index ", i);
+    std::vector<double> order(values.begin(), values.end());
     const size_t index = std::min(
-        sorted.size() - 1,
-        static_cast<size_t>(q * static_cast<double>(sorted.size() - 1)));
-    return sorted[index];
+        order.size() - 1,
+        static_cast<size_t>(q * static_cast<double>(order.size() - 1)));
+    std::nth_element(order.begin(), order.begin() + index, order.end());
+    return order[index];
 }
 
 DidtAnalysis

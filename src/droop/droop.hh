@@ -28,9 +28,11 @@ std::vector<double> currentFromPower(std::span<const float> power,
 std::vector<double> deltaI(std::span<const double> current);
 
 /**
- * Value at quantile @p q of @p values (nearest-rank on the sorted copy,
- * index clamped to the last element). @p q must be in [0, 1] and
- * @p values non-empty.
+ * Value at quantile @p q of @p values: the element a full sort would
+ * put at index floor(q * (n - 1)), found by selection (of values that
+ * compare equal, only +0.0 and -0.0 differ in bits). @p q must be in
+ * [0, 1] and @p values non-empty and NaN-free (FatalError naming the
+ * first NaN's index).
  */
 double percentileCut(std::span<const double> values, double q);
 

@@ -1,12 +1,32 @@
 #include "ref/reference_control.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "droop/droop.hh"
+#include "opm/opm_simulator.hh"
 #include "util/logging.hh"
 
 namespace apollo::ref {
+
+namespace {
+
+/** Bit q of @p words = engine.toggles(proxy_ids[q], frames, i). */
+void
+proxyBitsFromToggles(const ActivityEngine &engine,
+                     std::span<const uint32_t> proxy_ids,
+                     std::span<const ActivityFrame> frames, size_t i,
+                     std::vector<uint64_t> &words)
+{
+    std::fill(words.begin(), words.end(), 0);
+    for (size_t q = 0; q < proxy_ids.size(); ++q) {
+        if (engine.toggles(proxy_ids[q], frames, i))
+            words[q >> 6] |= 1ULL << (q & 63);
+    }
+}
+
+} // namespace
 
 ControlTranscript
 droopControlTranscript(std::span<const float> est_power,
@@ -65,6 +85,76 @@ droopControlTranscript(std::span<const float> est_power,
     return out;
 }
 
+StatusOr<control::ClosedLoopResult>
+closedLoopSimulate(const Netlist &netlist, const QuantizedModel &model,
+                   const Program &prog,
+                   const control::ClosedLoopConfig &config,
+                   const CoreParams &core_params)
+{
+    using namespace control;
+    if (config.opmWindow == 0 || !std::has_single_bit(config.opmWindow))
+        return Status::invalidArgument(
+            "OPM window must be a power of two, got ", config.opmWindow);
+    if (config.maxCycles == 0)
+        return Status::invalidArgument("closed loop needs maxCycles >= 1");
+    if (Status st = config.controller.validate(); !st.ok())
+        return st;
+
+    const ActivityEngine engine(netlist);
+    OpmSimulator opm(model, config.opmWindow);
+    const bool controlled =
+        config.controller.policy != ThrottleMode::None;
+    DroopController controller(config.controller);
+
+    ClosedLoopResult result;
+    std::vector<ActivityFrame> &frames = result.frames;
+    frames.reserve(config.maxCycles);
+    result.estPower.reserve(config.maxCycles);
+    std::vector<uint64_t> words((model.proxyIds.size() + 63) / 64);
+    double held = 0.0;
+
+    TimingCore core(core_params);
+    result.stats = core.run(
+        prog, config.maxCycles,
+        [&](const ActivityFrame &f) { frames.push_back(f); },
+        [&](const ActivityFrame &, uint64_t cycle, Throttle &throttle) {
+            proxyBitsFromToggles(engine, model.proxyIds, frames,
+                                 frames.size() - 1, words);
+            const OpmSimulator::Output out = opm.step(words.data());
+            if (out.valid) {
+                held = out.power;
+                controller.observe(cycle, out.power);
+            }
+            result.estPower.push_back(static_cast<float>(held));
+            if (controlled)
+                controller.apply(cycle, throttle);
+        });
+
+    result.triggers = controller.triggers();
+    result.engagedCycles = controller.engagedCycles();
+    return result;
+}
+
+std::vector<float>
+replayEstimate(const Netlist &netlist, const QuantizedModel &model,
+               std::span<const ActivityFrame> frames, uint32_t opm_window)
+{
+    const ActivityEngine engine(netlist);
+    OpmSimulator opm(model, opm_window);
+    std::vector<uint64_t> words((model.proxyIds.size() + 63) / 64);
+    std::vector<float> est;
+    est.reserve(frames.size());
+    double held = 0.0;
+    for (size_t i = 0; i < frames.size(); ++i) {
+        proxyBitsFromToggles(engine, model.proxyIds, frames, i, words);
+        const OpmSimulator::Output out = opm.step(words.data());
+        if (out.valid)
+            held = out.power;
+        est.push_back(static_cast<float>(held));
+    }
+    return est;
+}
+
 StatusOr<control::DroopLabReport>
 droopLabPerCell(const Netlist &netlist, const ApolloModel &model,
                 const control::DroopLabConfig &config)
@@ -79,17 +169,26 @@ droopLabPerCell(const Netlist &netlist, const ApolloModel &model,
             return qm.status();
         qmodels.push_back(std::move(*qm));
     }
+    // Scores truth power only; no run goes through its loop.
+    ClosedLoopRunner scorer(netlist, qmodels[0], config.coreParams,
+                            config.powerParams);
+    auto run = [&](size_t b, const Program &prog,
+                   const ClosedLoopConfig &c) {
+        StatusOr<ClosedLoopResult> res = closedLoopSimulate(
+            netlist, qmodels[b], prog, c, config.coreParams);
+        if (res.ok())
+            res->truthPower = scorer.truthPower(res->frames);
+        return res;
+    };
 
     std::vector<ClosedLoopResult> baselines;
     for (const DroopLabWorkload &wl : config.workloads) {
-        ClosedLoopRunner runner(netlist, qmodels[0], config.coreParams,
-                                config.powerParams);
         ClosedLoopConfig c;
         c.opmWindow = config.windows[0];
         c.maxCycles = wl.cycles;
         c.controller.vdd = config.vdd;
         c.controller.policy = ThrottleMode::None;
-        StatusOr<ClosedLoopResult> res = runner.run(wl.program, c);
+        StatusOr<ClosedLoopResult> res = run(0, wl.program, c);
         if (!res.ok())
             return res.status();
         if (res->truthPower.size() < 4)
@@ -104,11 +203,9 @@ droopLabPerCell(const Netlist &netlist, const ApolloModel &model,
     for (size_t w = 0; w < config.workloads.size(); ++w) {
         for (const uint32_t window : config.windows) {
             for (size_t b = 0; b < config.bits.size(); ++b) {
-                ClosedLoopRunner runner(netlist, qmodels[b],
-                                        config.coreParams,
-                                        config.powerParams);
                 const std::vector<double> di = deltaI(currentFromPower(
-                    runner.replayEstimate(baselines[w].frames, window),
+                    replayEstimate(netlist, qmodels[b],
+                                   baselines[w].frames, window),
                     config.vdd));
                 std::vector<double> mags;
                 for (size_t k = 1; k < di.size(); ++k)
@@ -126,9 +223,6 @@ droopLabPerCell(const Netlist &netlist, const ApolloModel &model,
         for (size_t t = 0; t < config.windows.size(); ++t) {
             for (size_t b = 0; b < config.bits.size(); ++b) {
                 for (const ThrottleMode policy : config.policies) {
-                    ClosedLoopRunner runner(netlist, qmodels[b],
-                                            config.coreParams,
-                                            config.powerParams);
                     ClosedLoopConfig c;
                     c.opmWindow = config.windows[t];
                     c.maxCycles = wl.cycles;
@@ -143,7 +237,7 @@ droopLabPerCell(const Netlist &netlist, const ApolloModel &model,
                     c.controller.proportionalLevel =
                         config.proportionalLevel;
                     StatusOr<ClosedLoopResult> res =
-                        runner.run(wl.program, c);
+                        run(b, wl.program, c);
                     if (!res.ok())
                         return res.status();
                     cells.push_back(std::move(*res));

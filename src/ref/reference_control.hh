@@ -11,9 +11,12 @@
  * recomputed the slow way. Oracle for control::DroopController
  * (the control.droop_trigger differential path).
  *
- * Also the per-cell droop lab: every baseline and cell simulated and
- * scored on its own through ClosedLoopRunner::run, serially, as the
- * lab ran before it batched truth power. Oracle for
+ * Also the closed loop with its proxy bits computed the definition's
+ * way, ActivityEngine::toggles once per proxy per cycle (oracle for
+ * ClosedLoopRunner::simulate and replayEstimate, whose bits come from
+ * the row toggle kernel), and the per-cell droop lab on that loop:
+ * every baseline and cell simulated and scored on its own, serially,
+ * as the lab ran before it batched truth power. Oracle for
  * control::runDroopLab (DroopLab.MatchesPerCellReference and
  * bench_droop_lab's gate).
  */
@@ -59,9 +62,28 @@ ControlTranscript droopControlTranscript(std::span<const float> est_power,
                                          const ControlParams &params);
 
 /**
- * The droop lab report assembled from per-cell ClosedLoopRunner::run
- * calls: stages A-C one run at a time, each with its own truth power,
- * then the production stage D (control::assembleDroopLabReport).
+ * ClosedLoopRunner::simulate's loop with the proxy bits packed from
+ * ActivityEngine::toggles(proxyIds[q], frames, i) per proxy per cycle:
+ * frames, estPower, triggers, engaged cycles and CoreStats, no truth
+ * power.
+ */
+StatusOr<control::ClosedLoopResult>
+closedLoopSimulate(const Netlist &netlist, const QuantizedModel &model,
+                   const Program &prog,
+                   const control::ClosedLoopConfig &config,
+                   const CoreParams &core_params = CoreParams::defaults());
+
+/** ClosedLoopRunner::replayEstimate with the same per-proxy bits. */
+std::vector<float> replayEstimate(const Netlist &netlist,
+                                  const QuantizedModel &model,
+                                  std::span<const ActivityFrame> frames,
+                                  uint32_t opm_window);
+
+/**
+ * The droop lab report assembled from per-cell closedLoopSimulate and
+ * replayEstimate calls: stages A-C one run at a time, each with its own
+ * truth power (ClosedLoopRunner::truthPower), then the production
+ * stage D (control::assembleDroopLabReport).
  */
 StatusOr<control::DroopLabReport>
 droopLabPerCell(const Netlist &netlist, const ApolloModel &model,

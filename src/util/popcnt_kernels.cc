@@ -206,6 +206,13 @@ constexpr Kernels kAvx2Kernels = {countWordsAvx2, countRangeAvx2,
 
 // --- AVX-512 VPOPCNTDQ --------------------------------------------------
 
+// GCC 12's cast/extract/convert intrinsics start from a self-initialized
+// "undefined" vector that -Wuninitialized reports once they inline
+// (a known false positive); the lanes it names are never read.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
 #define APOLLO_VPOPCNT_TARGET                                           \
     "avx512f,avx512bw,avx512dq,avx512vl,avx512vpopcntdq,popcnt"
 
@@ -338,6 +345,8 @@ accumWindowSumsAvx512(const uint64_t *words, size_t nbits, uint32_t T,
 
 constexpr Kernels kAvx512Kernels = {countWordsAvx512, countRangeAvx512,
                                     accumWindowSumsAvx512};
+
+#pragma GCC diagnostic pop
 
 bool
 cpuHasAvx2Popcnt()

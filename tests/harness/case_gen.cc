@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <optional>
 
+#include "activity/activity_engine.hh"
 #include "flow/flows.hh"
 #include "ml/feature_view.hh"
 #include "ref/reference_solver.hh"
@@ -757,6 +760,180 @@ makeToggleCase(uint64_t seed)
             min_count + rng.nextBounded(n - first - min_count + 1);
         c.windows.emplace_back(first, count);
     }
+    return c;
+}
+
+namespace {
+
+/**
+ * The input v with f(v) == target bit for bit, stepped one ulp at a
+ * time from v0 toward it; nullopt when f steps over the target.
+ */
+std::optional<float>
+solveTie(const std::function<float(float)> &f, float target, float v0)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    if (!std::isfinite(v0))
+        return std::nullopt;
+    float v = v0;
+    const bool up = f(v) < target;
+    for (int step = 0; step < 4096 && f(v) != target; ++step) {
+        if ((f(v) < target) != up)
+            return std::nullopt;
+        v = std::nextafter(v, up ? inf : -inf);
+    }
+    if (f(v) != target)
+        return std::nullopt;
+    return v;
+}
+
+/**
+ * Step row i's source activity (data for a bus bit) until @p sig_id's
+ * threshold equals its draw at row i, enabling its unit there; false
+ * when no float lands exactly on the draw.
+ */
+bool
+tieSignal(const ActivityEngine &engine, std::vector<ActivityFrame> &frames,
+          size_t i, size_t begin, uint32_t sig_id)
+{
+    const Signal &sig = engine.netlist().signal(sig_id);
+    const auto u = static_cast<size_t>(sig.unit);
+    const size_t lat = sig.kind == SignalKind::GatedClock ? 0 : sig.latency;
+    ActivityFrame &src = frames[i - std::min(lat, i - begin)];
+    const float draw = hashToUnitFloat(
+        hashCombine(engine.signalDrawSeed(sig_id), frames[i].cycle));
+    std::optional<float> v;
+    if (sig.kind == SignalKind::GatedClock) {
+        v = solveTie(ActivityEngine::gatedClockThreshold, draw,
+                     (draw - 0.18f) / 0.82f);
+        if (v && *v < 0.999f)
+            src.activity[u] = *v;
+        else
+            v.reset();
+    } else if (sig.kind == SignalKind::BusBit) {
+        // Open the bus event gate, then tie the bit's draw.
+        const float ev = hashToUnitFloat(
+            hashCombine(engine.busDrawSeed(sig.busId), frames[i].cycle));
+        const float es = engine.netlist()
+                             .bus(static_cast<size_t>(sig.busId))
+                             .eventSensitivity;
+        if (ev < ActivityEngine::busEventThreshold(es, 1.0f))
+            v = solveTie(ActivityEngine::busBitThreshold, draw,
+                         (draw - 0.35f) / 0.65f);
+        if (v) {
+            src.activity[u] = 1.0f;
+            src.dataToggle[u] = *v;
+        }
+    } else if (sig.kind != SignalKind::ClockEnable && draw < 0.95f &&
+               sig.actSensitivity > 0.0f) {
+        const float quiet = 1.0f - sig.dataSensitivity * (1.0f - 0.3f);
+        v = solveTie(
+            [&](float a) {
+                return ActivityEngine::toggleProbability(sig, a, 0.3f);
+            },
+            draw, (draw - sig.baseRate) / (sig.actSensitivity * quiet));
+        if (v) {
+            src.activity[u] = *v;
+            src.dataToggle[u] = 0.3f;
+        }
+    }
+    if (v)
+        frames[i].clockEnabled[u] = true;
+    return v.has_value();
+}
+
+} // namespace
+
+ToggleRowsCase
+makeToggleRowsCase(uint64_t seed)
+{
+    Xoshiro256StarStar rng(hashMix(seed ^ 0x7a1));
+    ToggleRowsCase c;
+    c.netlist = miniDesign(rng);
+    const ActivityEngine engine(c.netlist);
+
+    static const char *const kFrameShapes[] = {"nominal", "edge-values",
+                                               "sparse-enable", "ties"};
+    const uint64_t frame_shape = hashMix(seed ^ 0x7a2) % 4;
+    const size_t n = 3 + rng.nextBounded(200);
+    c.segmentBeginOf = randomSegmentTable(rng, n, rng.nextBounded(2) == 0);
+    // Separately simulated programs restart their cycle stamps.
+    const bool restart = rng.nextBounded(2) == 0;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float edge[] = {std::numeric_limits<float>::quiet_NaN(),
+                          inf,
+                          -inf,
+                          -0.0f,
+                          0.0f,
+                          -0.5f,
+                          1.5f,
+                          1e30f,
+                          -1e-40f,
+                          1e-40f,
+                          0.999f,
+                          std::nextafter(0.999f, 0.0f),
+                          1.0f,
+                          0.5f};
+    uint64_t cycle = rng.nextBounded(1u << 20);
+    c.frames.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        if (restart && c.segmentBeginOf[i] == i)
+            cycle = rng();
+        ActivityFrame f =
+            randomFrame(rng, cycle++, frame_shape == 2 ? 0.2 : 0.85, false);
+        if (frame_shape == 1)
+            for (size_t u = 0; u < numUnits; ++u) {
+                f.activity[u] = edge[rng.nextBounded(std::size(edge))];
+                f.dataToggle[u] = edge[rng.nextBounded(std::size(edge))];
+            }
+        c.frames.push_back(f);
+    }
+
+    std::vector<uint32_t> by_kind[5];
+    std::vector<uint32_t> all;
+    for (uint32_t s = 0; s < c.netlist.signalCount(); ++s) {
+        by_kind[static_cast<size_t>(c.netlist.signal(s).kind)].push_back(s);
+        all.push_back(s);
+    }
+    static constexpr size_t kQ[] = {1, 15, 16, 17, 63, 64, 65, 159, 160};
+    static const char *const kListShapes[] = {"one-kind", "bus-bits",
+                                              "every-kind"};
+    std::string lists;
+    const size_t n_lists = 2 + rng.nextBounded(2);
+    for (size_t k = 0; k < n_lists; ++k) {
+        const size_t q = kQ[rng.nextBounded(std::size(kQ))];
+        const uint64_t list_shape = rng.nextBounded(3);
+        const std::vector<uint32_t> *pool = &all;
+        std::vector<uint32_t> ids;
+        if (list_shape == 0) {
+            const auto &kind = by_kind[rng.nextBounded(5)];
+            if (!kind.empty())
+                pool = &kind;
+        } else if (list_shape == 1) {
+            if (!by_kind[static_cast<size_t>(SignalKind::BusBit)].empty())
+                pool = &by_kind[static_cast<size_t>(SignalKind::BusBit)];
+        } else {
+            for (const auto &kind : by_kind)
+                if (!kind.empty() && ids.size() < q)
+                    ids.push_back(kind[rng.nextBounded(kind.size())]);
+        }
+        while (ids.size() < q)
+            ids.push_back((*pool)[rng.nextBounded(pool->size())]);
+        for (size_t j = ids.size(); j > 1; --j)
+            std::swap(ids[j - 1], ids[rng.nextBounded(j)]);
+        lists += std::string("+") + kListShapes[list_shape] + "-q" +
+                 std::to_string(q);
+        c.lists.push_back(std::move(ids));
+    }
+
+    if (frame_shape == 3)
+        for (size_t i = 0; i < n; ++i) {
+            const std::vector<uint32_t> &ids =
+                c.lists[rng.nextBounded(c.lists.size())];
+            tieSignal(engine, c.frames, i, c.segmentBeginOf[i],
+                      ids[rng.nextBounded(ids.size())]);
+        }
+    c.shape = std::string(kFrameShapes[frame_shape]) + lists;
     return c;
 }
 

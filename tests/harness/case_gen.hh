@@ -193,6 +193,29 @@ struct ToggleCase
 ToggleCase makeToggleCase(uint64_t seed);
 
 /**
+ * A generated row-toggle case: a miniature design (every signal kind,
+ * buses, latencies 0-2), frames split into segments from the
+ * 1/2/63/64/65-row edges, and 2-3 signal lists of Q in {1, 15, 16, 17,
+ * 63, 64, 65, 159, 160} drawn from one kind, from bus bits, or from
+ * every kind (with repeats when the design has fewer signals). Frame
+ * shapes: nominal, edge values (NaN, infinities, signed zeros,
+ * denormals, activity and data outside [0, 1]), sparse enables, and
+ * exact ties: rows whose source activity (data for a bus bit) is
+ * stepped until one listed signal's threshold equals its draw.
+ */
+struct ToggleRowsCase
+{
+    Netlist netlist;
+    std::vector<ActivityFrame> frames;
+    /** Every row's segment start (row r starts one iff entry r is r). */
+    std::vector<uint32_t> segmentBeginOf;
+    std::vector<std::vector<uint32_t>> lists;
+    std::string shape;
+};
+
+ToggleRowsCase makeToggleRowsCase(uint64_t seed);
+
+/**
  * A generated dataset-export case: a miniature design and synthetic
  * frames split into segments (added to a DatasetBuilder one segment at
  * a time). Shapes include a one-cycle segment, totals at word

@@ -1036,6 +1036,55 @@ runToggleColumns(uint64_t seed)
     return std::nullopt;
 }
 
+/**
+ * The row toggle kernel, every available implementation, at every row
+ * of every list: bit q against ActivityEngine::toggles (the
+ * definition), bits past Q zero.
+ */
+std::optional<std::string>
+runToggleRows(uint64_t seed)
+{
+    const ToggleRowsCase c = makeToggleRowsCase(seed);
+    const ActivityEngine engine(c.netlist);
+    for (int k = 0; k < togglekernels::kImplCount; ++k) {
+        const auto impl = static_cast<togglekernels::Impl>(k);
+        if (!togglekernels::implAvailable(impl))
+            continue;
+        for (const std::vector<uint32_t> &ids : c.lists) {
+            const togglekernels::RowKernel rows(engine, ids, impl);
+            std::vector<uint64_t> out(rows.wordCount());
+            for (size_t i = 0; i < c.frames.size(); ++i) {
+                const size_t begin = c.segmentBeginOf[i];
+                std::fill(out.begin(), out.end(), ~0ULL);
+                rows.fill(c.frames, i, begin, out.data());
+                for (size_t q = 0; q < ids.size(); ++q) {
+                    const bool prod = (out[q >> 6] >> (q & 63)) & 1;
+                    const bool want =
+                        engine.toggles(ids[q], c.frames, i, begin);
+                    if (prod != want)
+                        return fmt(
+                            "shape=%s impl=%s Q=%zu row=%zu begin=%zu "
+                            "lane=%zu sig=%u kind=%s: prod=%d ref=%d",
+                            c.shape.c_str(),
+                            togglekernels::implName(impl), ids.size(), i,
+                            begin, q, ids[q],
+                            signalKindName(
+                                c.netlist.signal(ids[q]).kind),
+                            prod, want);
+                }
+                if ((ids.size() & 63) &&
+                    (out.back() >> (ids.size() & 63)) != 0)
+                    return fmt("shape=%s impl=%s Q=%zu row=%zu: bits "
+                               "past Q set",
+                               c.shape.c_str(),
+                               togglekernels::implName(impl), ids.size(),
+                               i);
+            }
+        }
+    }
+    return std::nullopt;
+}
+
 std::optional<std::string>
 runDatasetBuild(uint64_t seed)
 {
@@ -1690,6 +1739,7 @@ oracleRegistry()
         {"solver.shard_prefilter", runShardPrefilter},
         {"solver.bit_dots", runBitDots},
         {"gen.toggle_columns", runToggleColumns},
+        {"activity.toggle_rows", runToggleRows},
         {"gen.fitness_power", runFitnessPower},
         {"gen.fitness_batch", runFitnessBatch},
         {"gen.ga_pipeline", runGaPipeline},

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -234,6 +236,50 @@ TEST(DroopPercentile, RejectsEmptyAndOutOfRange)
     EXPECT_THROW(percentileCut({}, 0.5), FatalError);
     EXPECT_THROW(percentileCut(v, -0.1), FatalError);
     EXPECT_THROW(percentileCut(v, 1.1), FatalError);
+    // `<` orders no NaN, so the cut is undefined on a series with one.
+    const std::vector<double> with_nan = {1.0, 2.0, kNan, 3.0};
+    try {
+        percentileCut(with_nan, 0.5);
+        ADD_FAILURE() << "a NaN series was cut";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("NaN at index 2"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(percentileCut(std::vector<double>{kNan}, 0.0),
+                 FatalError);
+}
+
+TEST(DroopPercentile, SelectionMatchesFullSort)
+{
+    // The index rule on a sorted copy, as the cut was defined before it
+    // selected: random finite series with heavy ties and both zeros.
+    Xoshiro256StarStar rng(0x9c7);
+    const double pool[] = {-0.0, 0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, -7.0};
+    for (const size_t n : {1, 2, 3, 4000}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<double> v(n);
+            for (double &x : v)
+                x = rng.nextBounded(3) == 0
+                        ? rng.nextDouble() * 8.0 - 4.0
+                        : pool[rng.nextBounded(std::size(pool))];
+            std::vector<double> sorted = v;
+            std::sort(sorted.begin(), sorted.end());
+            for (const double q : {0.0, 0.5, 0.9, 0.97, 0.999, 1.0}) {
+                const size_t index = std::min(
+                    n - 1, static_cast<size_t>(
+                               q * static_cast<double>(n - 1)));
+                const double cut = percentileCut(v, q);
+                // Equal as doubles; only the sign of a zero may differ.
+                EXPECT_EQ(cut, sorted[index])
+                    << "n=" << n << " q=" << q << " trial " << trial;
+                if (cut != 0.0) {
+                    EXPECT_EQ(std::bit_cast<uint64_t>(cut),
+                              std::bit_cast<uint64_t>(sorted[index]));
+                }
+            }
+        }
+    }
 }
 
 TEST(DroopMitigation, RejectsDegenerateTriggerAndWindow)
@@ -350,6 +396,122 @@ TEST(ControlClosedLoop, ThrottlingReshapesActivity)
     EXPECT_GT(mit->triggers, 0u);
     EXPECT_GT(mit->engagedCycles, 0u);
     EXPECT_LT(mit->stats.ipc(), base->stats.ipc());
+}
+
+/** Two runs' frames, CoreStats, estPower bits, triggers and engaged
+ *  cycles, field by field. */
+::testing::AssertionResult
+sameRun(const ClosedLoopResult &got, const ClosedLoopResult &want)
+{
+    if (got.frames.size() != want.frames.size())
+        return ::testing::AssertionFailure()
+               << got.frames.size() << " frames, want "
+               << want.frames.size();
+    for (size_t i = 0; i < got.frames.size(); ++i) {
+        const ActivityFrame &a = got.frames[i];
+        const ActivityFrame &b = want.frames[i];
+        if (a.cycle != b.cycle)
+            return ::testing::AssertionFailure() << "frame " << i
+                                                 << " cycle";
+        for (size_t u = 0; u < numUnits; ++u)
+            if (std::bit_cast<uint32_t>(a.activity[u]) !=
+                    std::bit_cast<uint32_t>(b.activity[u]) ||
+                std::bit_cast<uint32_t>(a.dataToggle[u]) !=
+                    std::bit_cast<uint32_t>(b.dataToggle[u]) ||
+                a.clockEnabled[u] != b.clockEnabled[u])
+                return ::testing::AssertionFailure()
+                       << "frame " << i << " unit " << u;
+    }
+    if (got.estPower.size() != want.estPower.size())
+        return ::testing::AssertionFailure() << "estPower length";
+    for (size_t i = 0; i < got.estPower.size(); ++i)
+        if (std::bit_cast<uint32_t>(got.estPower[i]) !=
+            std::bit_cast<uint32_t>(want.estPower[i]))
+            return ::testing::AssertionFailure()
+                   << "estPower[" << i << "] " << got.estPower[i]
+                   << ", want " << want.estPower[i];
+    const CoreStats &a = got.stats;
+    const CoreStats &b = want.stats;
+    if (a.cycles != b.cycles || a.retiredOps != b.retiredOps ||
+        a.branches != b.branches || a.mispredicts != b.mispredicts ||
+        a.l1iMisses != b.l1iMisses || a.l1dMisses != b.l1dMisses ||
+        a.l2Misses != b.l2Misses)
+        return ::testing::AssertionFailure() << "CoreStats differ";
+    if (got.triggers != want.triggers ||
+        got.engagedCycles != want.engagedCycles)
+        return ::testing::AssertionFailure()
+               << got.triggers << " triggers / " << got.engagedCycles
+               << " engaged cycles, want " << want.triggers << " / "
+               << want.engagedCycles;
+    return ::testing::AssertionSuccess();
+}
+
+TEST(ControlClosedLoop, MatchesPerProxyReference)
+{
+    // simulate() and replayEstimate() take each cycle's proxy bits from
+    // the row toggle kernel; the src/ref loop calls
+    // ActivityEngine::toggles once per proxy per cycle and is otherwise
+    // the same loop. Every policy, windows {1, 4} and bits {10, 6}, with
+    // the lab's trigger calibration so the throttled cells engage.
+    const auto &fx = controlFixture();
+    const DroopLabConfig lab = defaultDroopLabConfig(900);
+    uint64_t triggers = 0;
+    for (const uint32_t bits : {10u, 6u}) {
+        const QuantizedModel qm = *tryQuantizeModel(fx.model, bits);
+        ClosedLoopRunner runner(fx.netlist, qm);
+        for (const DroopLabWorkload &wl : lab.workloads) {
+            for (const uint32_t window : {1u, 4u}) {
+                const std::string at = wl.name + " B=" +
+                                       std::to_string(bits) + " tau=" +
+                                       std::to_string(window);
+                ClosedLoopConfig cfg;
+                cfg.opmWindow = window;
+                cfg.maxCycles = wl.cycles;
+                cfg.controller.vdd = lab.vdd;
+                cfg.controller.policy = ThrottleMode::None;
+                StatusOr<ClosedLoopResult> base =
+                    runner.simulate(wl.program, cfg);
+                StatusOr<ClosedLoopResult> want = ref::closedLoopSimulate(
+                    fx.netlist, qm, wl.program, cfg);
+                ASSERT_TRUE(base.ok() && want.ok()) << at;
+                ASSERT_TRUE(sameRun(*base, *want)) << at << " none";
+
+                const std::vector<float> replay =
+                    runner.replayEstimate(base->frames, window);
+                const std::vector<float> ref_replay = ref::replayEstimate(
+                    fx.netlist, qm, base->frames, window);
+                ASSERT_EQ(replay.size(), ref_replay.size()) << at;
+                for (size_t i = 0; i < replay.size(); ++i)
+                    ASSERT_EQ(std::bit_cast<uint32_t>(replay[i]),
+                              std::bit_cast<uint32_t>(ref_replay[i]))
+                        << at << " replay cycle " << i;
+
+                const std::vector<double> di =
+                    deltaI(currentFromPower(replay, lab.vdd));
+                std::vector<double> mags;
+                for (size_t k = 1; k < di.size(); ++k)
+                    mags.push_back(std::abs(di[k]));
+                cfg.controller.triggerDelta = std::max(
+                    1e-12, percentileCut(mags, lab.triggerPercentile));
+                cfg.controller.triggerLatency = lab.triggerLatency;
+                cfg.controller.engageCycles = lab.engageCycles;
+                for (const ThrottleMode policy :
+                     {ThrottleMode::Scheme1, ThrottleMode::Scheme2,
+                      ThrottleMode::Scheme3, ThrottleMode::Proportional}) {
+                    cfg.controller.policy = policy;
+                    StatusOr<ClosedLoopResult> got =
+                        runner.simulate(wl.program, cfg);
+                    want = ref::closedLoopSimulate(fx.netlist, qm,
+                                                   wl.program, cfg);
+                    ASSERT_TRUE(got.ok() && want.ok()) << at;
+                    EXPECT_TRUE(sameRun(*got, *want))
+                        << at << " " << control::throttleModeName(policy);
+                    triggers += got->triggers;
+                }
+            }
+        }
+    }
+    EXPECT_GT(triggers, 0u) << "no cell engaged the throttle";
 }
 
 TEST(DroopLab, ValidateRejectsBadGrids)

@@ -328,7 +328,8 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
           "trace.fill_columns", "trace.label_pass", "flow.simulate",
           "stream.run", "control.truth_power", "uarch.run",
           "gen.fitness_batch", "control.simulate", "control.calibrate",
-          "control.truth_batch", "control.assemble", "ml.path_point",
+          "control.truth_batch", "control.assemble",
+          "control.closed_loop", "control.replay", "ml.path_point",
           "ml.strong_sweep", "ml.active_sweep", "ml.kkt_pass"})
         EXPECT_NE(trace_json.find(span), std::string::npos)
             << "trace lacks span " << span;

@@ -34,7 +34,8 @@ TEST(OracleRegistry, CoversEveryProductionPath)
         "solver.cd_bits",        "solver.cd_counts",
         "solver.cd_dense",       "solver.target_q",
         "solver.shard_prefilter", "solver.bit_dots",
-        "gen.toggle_columns",    "gen.fitness_power",
+        "gen.toggle_columns",    "activity.toggle_rows",
+        "gen.fitness_power",
         "gen.fitness_batch",     "gen.ga_pipeline",
         "control.droop_trigger",
         "trace.dataset_build",   "uarch.core_frames",

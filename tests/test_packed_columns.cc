@@ -265,13 +265,14 @@ TEST(StreamInferPackedColumns, AptrRoundTripAtOddBlockSizes)
         ASSERT_TRUE(got.ok()) << got.status().toString();
         if (*got == 0)
             break;
-        if (*got & 63)
+        if (*got & 63) {
             for (size_t c = 0; c < q; ++c)
                 ASSERT_EQ(chunk.bits.colWords(
                               c)[chunk.bits.wordsPerCol() - 1] >>
                               (*got & 63),
                           0u)
                     << "served chunk leaks tail bits";
+        }
         for (size_t c = 0; c < q; ++c)
             for (size_t r = 0; r < *got; ++r)
                 if (chunk.bits.get(r, c))

@@ -1001,7 +1001,7 @@ TEST(ServeLoop, DrivesSessionsAndRecordsReplayableFiles)
     // Each record file replays standalone to bit-identical samples —
     // including auto-closed "b", whose record must carry the implied
     // close.
-    for (const std::string name : {std::string("a"), std::string("b")}) {
+    for (const std::string &name : {std::string("a"), std::string("b")}) {
         std::ifstream rec(record_dir / (name + ".ndjson"));
         ASSERT_TRUE(rec.is_open()) << name;
         std::ostringstream replay_out;

@@ -12,7 +12,9 @@
 #include <sstream>
 #include <thread>
 
+#include "activity/activity_engine.hh"
 #include "activity/toggle_kernels.hh"
+#include "rtl/design_builder.hh"
 #include "util/bitvec.hh"
 #include "util/bitvec_kernels.hh"
 #include "util/kernel_env.hh"
@@ -274,6 +276,11 @@ TEST(KernelDispatch, Avx512OverrideReachesEveryKernelFamily)
     EXPECT_FALSE(bitkernels::avx512Enabled());
     EXPECT_NE(togglekernels::bestImpl(), togglekernels::Impl::Avx512);
     EXPECT_NE(popkernels::bestImpl(), popkernels::Impl::Avx512);
+    // The row orientation as the closed loop binds it.
+    const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
+    const std::vector<uint32_t> ids = {0, 1, 2};
+    EXPECT_NE(togglekernels::RowKernel(ActivityEngine(netlist), ids).impl(),
+              togglekernels::Impl::Avx512);
 }
 
 } // namespace

@@ -59,11 +59,14 @@ elif [[ "$SANITIZER" == "tsan" ]]; then
     # fitness and the droop lab run it on pool threads), the batched
     # fitness evaluator's row tiles on 1-3 worker pools
     # (gen_fitness_batch), nested and concurrent parallelFor calls
-    # (ThreadPool), and the packed-bit dots: the kernel oracle and
+    # (ThreadPool), the packed-bit dots: the kernel oracle and
     # agreement tests, and batched vs single-dot target-Q searches whose
-    # gradient passes fan over the global pool (SolverBatchedDots).
+    # gradient passes fan over the global pool (SolverBatchedDots), and
+    # the row toggle kernel the lab's pool workers call every cycle
+    # (activity_toggle_rows; ControlClosedLoop checks the loop against
+    # its per-proxy reference).
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool|solver_bit_dots|BitKernelAgreement|SolverBatchedDots'
+        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool|solver_bit_dots|BitKernelAgreement|SolverBatchedDots|activity_toggle_rows'
 else
     # Streaming + serving suites, the flat timing core's ring indexing
     # (UarchCore), plus the differential-oracle layer (label "oracle":
@@ -73,8 +76,10 @@ else
     # run in both passes, so the portable kernels' multi-run binds are
     # checked too, and so do the packed-bit dot oracle, agreement, band
     # and batched-sweep tests (solver_bit_dots, BitKernel*,
-    # SolverBatchedDots).
-    suites='ThreadPool|gen_fitness_batch|solver_bit_dots|BitKernelAgreement|BitKernelBand|SolverBatchedDots|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+    # SolverBatchedDots), the row toggle kernel oracle
+    # (activity_toggle_rows) and the closed loop against its per-proxy
+    # reference (ControlClosedLoop, inside Control).
+    suites='ThreadPool|gen_fitness_batch|solver_bit_dots|activity_toggle_rows|BitKernelAgreement|BitKernelBand|SolverBatchedDots|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
     # The same suites on the portable kernels: ASan does not check
