@@ -48,8 +48,8 @@
  *      ActivityEngine::toggles bit for bit (smoke mode too).
  *
  * Dataset materialization (DatasetBuilder::build: every signal's
- * toggle columns, then the oracle label pass) is reported but not
- * gated. Results go to BENCH_ga.json.
+ * toggle columns, then the label pass) is reported but not gated.
+ * Results go to BENCH_ga.json, headed by bench/common's hostJson().
  *
  * Usage: bench_perf_ga [--smoke] [--reps=N] [--out=PATH]
  * (--smoke: fast-mode budgets + relaxed timing floor; used by the
@@ -485,6 +485,7 @@ writeJson(const std::string &path, const char *mode,
     os << "{\n";
     os << "  \"bench\": \"ga_training_pipeline\",\n";
     os << "  \"mode\": \"" << mode << "\",\n";
+    os << "  \"host\": " << hostJson() << ",\n";
     os << "  \"population\": " << cfg.populationSize
        << ",\n  \"generations\": " << cfg.generations
        << ",\n  \"fitness_cycles\": " << cfg.fitnessCycles

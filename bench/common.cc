@@ -9,6 +9,7 @@
 
 #include "activity/toggle_kernels.hh"
 #include "obs/metrics.hh"
+#include "power/label_accumulator.hh"
 #include "util/bitvec_kernels.hh"
 #include "util/popcnt_kernels.hh"
 
@@ -210,6 +211,8 @@ hostJson()
        << bitkernels::implName(bitkernels::avx512Enabled()
                                    ? bitkernels::Impl::Avx512
                                    : bitkernels::Impl::Portable)
+       << "\", \"label\": \""
+       << LabelAccumulator::implName(LabelAccumulator::bestImpl())
        << "\", \"compiler\": \"" << APOLLO_BENCH_COMPILER
        << "\", \"flags\": \"" << APOLLO_BENCH_FLAGS << "\", \"git\": \""
        << git << "\"}";

@@ -65,10 +65,10 @@ TrainExportBudget benchTrainBudget(Design design, bool fast);
 
 /**
  * The host and build a BENCH_*.json was recorded on, as one JSON object
- * on a single line: nproc, the dispatched popcount, toggle and bit-dot
- * kernels, compiler, flags and git revision (the fields of the header
- * bench/e2e/run.py prints; the revision ends in "-dirty" when the
- * tree has uncommitted changes).
+ * on a single line: nproc, the dispatched popcount, toggle, bit-dot
+ * and label-order power kernels, compiler, flags and git revision (a
+ * superset of the header bench/e2e/run.py prints; the revision ends
+ * in "-dirty" when the tree has uncommitted changes).
  */
 std::string hostJson();
 

@@ -80,7 +80,7 @@ selectProxiesSharded(const MappedShardSet &shards,
     // Per-shard accounting. Admission counts reflect the first path
     // point (the screen that decides which columns ever become hot).
     const std::vector<uint64_t> admitted =
-        view.stats().admittedAtFirstPoint(PathConfig{}.lambdaFactor);
+        view.stats().admittedAtFirstPoint(kLambdaPathFactor);
     ShardSelectionStats acc;
     acc.shardCount = shards.shardCount();
     acc.bytesMapped = shards.bytesMapped();

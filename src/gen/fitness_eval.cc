@@ -71,10 +71,11 @@ FitnessEvaluator::FitnessEvaluator(const Netlist &netlist,
                                    const ActivityEngine &engine,
                                    const PowerOracle &oracle,
                                    uint32_t signal_stride)
-    : signals_(netlist.signalCount()), stride_(signal_stride),
-      gen_(engine), acc_(netlist, oracle)
+    : stride_(signal_stride), gen_(engine), acc_(netlist, oracle)
 {
     APOLLO_REQUIRE(signal_stride >= 1, "stride must be positive");
+    for (size_t j = 0; j < netlist.signalCount(); j += stride_)
+        sigIds_.push_back(static_cast<uint32_t>(j));
 }
 
 FitnessEvaluator::BatchStats
@@ -112,13 +113,15 @@ FitnessEvaluator::cyclePowersBatch(
     stats.scored = distinct.size();
 
     // Tiles: 64-aligned row blocks, each over every distinct run that
-    // reaches it.
+    // reaches it. A tile fills kChunkColumns signals' columns for every
+    // run, then adds them to each run's sums.
     const size_t block =
         toggleBlockRows(longest, pool ? pool->threadCount() : 1);
+    const size_t chunk = LabelAccumulator::kChunkColumns;
     const auto scale = static_cast<double>(stride_);
     forRange(pool, (longest + block - 1) / block, [&](size_t t0, size_t t1) {
         ToggleColumnGenerator gen(gen_);
-        OracleAccumulator acc(acc_);
+        std::vector<LabelAccumulator> accs;
         std::vector<std::span<const ActivityFrame>> bound;
         std::vector<size_t> ids;
         std::vector<uint64_t> cols;
@@ -136,23 +139,26 @@ FitnessEvaluator::cyclePowersBatch(
             }
             gen.bindRuns(bound, row0, count);
             const size_t words = gen.wordCount();
-            cols.resize(bound.size() * words);
+            cols.resize(bound.size() * chunk * words);
             outs.resize(bound.size());
+            accs.resize(bound.size(), acc_);
             for (size_t k = 0; k < bound.size(); ++k)
-                outs[k] = cols.data() + k * words;
-            acc.begin(bound.size(), count);
-            for (size_t c = 0; c < signals_; c += stride_) {
-                const auto sig_id = static_cast<uint32_t>(c);
-                gen.fillColumns(sig_id, outs.data());
+                accs[k].begin(bound[k].subspan(
+                    row0, std::min(count, bound[k].size() - row0)));
+            for (size_t c0 = 0; c0 < sigIds_.size(); c0 += chunk) {
+                const std::span<const uint32_t> sigs = std::span(
+                    sigIds_).subspan(c0, std::min(chunk, sigIds_.size() - c0));
+                for (size_t c = 0; c < sigs.size(); ++c) {
+                    for (size_t k = 0; k < bound.size(); ++k)
+                        outs[k] = cols.data() + (k * chunk + c) * words;
+                    gen.fillColumns(sigs[c], outs.data());
+                }
                 for (size_t k = 0; k < bound.size(); ++k)
-                    acc.addColumn(sig_id, k, outs[k]);
+                    accs[k].add(sigs, cols.data() + k * chunk * words,
+                                words);
             }
-            for (size_t k = 0; k < bound.size(); ++k) {
-                const size_t rows =
-                    std::min(count, bound[k].size() - row0);
-                acc.finish(k, bound[k].subspan(row0, rows), row0, scale,
-                           out[ids[k]].data() + row0);
-            }
+            for (size_t k = 0; k < bound.size(); ++k)
+                accs[k].finish(scale, row0, out[ids[k]].data() + row0);
         }
     });
 

@@ -7,26 +7,29 @@
  *
  * One implementation (INTERNALS.md §9): column-major toggle generation
  * (ToggleColumnGenerator, whose fused kernels draw, threshold and
- * compare 16 rows at a time into register words) feeding weighted
- * bit-column accumulation (OracleAccumulator). It scores a *batch* of
- * runs whose frames carry the same cycle stamp at each row, as the
- * timing core stamps every run 0, 1, 2, ...:
+ * compare 16 rows at a time into register words) feeding the one
+ * ground-truth power kernel (LabelAccumulator), which sums each row in
+ * the dataset label order. It scores a *batch* of runs whose frames
+ * carry the same cycle stamp at each row, as the timing core stamps
+ * every run 0, 1, 2, ...:
  *  - identical runs (same length, every frame field equal) are scored
  *    once, and the duplicates copy the first one's powers;
  *  - the other runs share each 64-row word's draws through one
  *    multi-run bind;
  *  - the batch is split into tiles, 64-aligned row blocks sized by
  *    toggleBlockRows(), that run on the caller's pool; each tile binds
- *    every distinct run that reaches it.
- * Each tile adds its columns in ascending signal order and finalizes
- * each row with the run's own row index, so every power is independent
- * of the tile size and thread count, and bit-exact for any frames and
- * stride against the per-cycle transcription in src/ref
- * (ref::fitnessCyclePowers), which serves as both the differential
- * oracle and the perf bench's baseline.
+ *    every distinct run that reaches it, fills kChunkColumns strided
+ *    signals' columns at a time and adds them to each run's sums.
+ * Each row is finalized with the run's own row index, so every power
+ * is independent of the tile size and thread count. At stride 1 a
+ * run's powers, cast to float, are the dataset labels of the same
+ * frames as one segment, and at any stride they are bit-exact against
+ * the per-cycle transcription in src/ref (ref::fitnessCyclePowers),
+ * which serves as both the differential oracle and the perf bench's
+ * baseline.
  *
  * The evaluator holds no scratch: each pool chunk copies an unbound
- * generator and an accumulator (whose per-signal weights the copies
+ * generator and accumulators (whose per-signal terms the copies
  * share), so one instance may score batches from several threads.
  */
 
@@ -38,7 +41,7 @@
 #include <vector>
 
 #include "activity/toggle_columns.hh"
-#include "power/oracle_accumulator.hh"
+#include "power/label_accumulator.hh"
 
 namespace apollo {
 
@@ -85,11 +88,12 @@ class FitnessEvaluator
     double averagePower(std::span<const ActivityFrame> frames) const;
 
   private:
-    const size_t signals_;
     const uint32_t stride_;
+    /** The strided signal ids, ascending. */
+    std::vector<uint32_t> sigIds_;
     /** Unbound prototypes each tile's scratch is copied from. */
     const ToggleColumnGenerator gen_;
-    const OracleAccumulator acc_;
+    const LabelAccumulator acc_;
 };
 
 /** Mean of @p powers in ascending order (0.0 when empty). */

@@ -8,46 +8,6 @@
 
 namespace apollo {
 
-std::vector<PathPoint>
-runLambdaPath(CdSolver &solver, CdConfig base,
-              const PathConfig &path_config)
-{
-    APOLLO_REQUIRE(base.penalty.kind == PenaltyKind::Lasso ||
-                       base.penalty.kind == PenaltyKind::Mcp,
-                   "lambda paths apply to L1-family penalties");
-    const double lambda_max = solver.lambdaMax();
-    APOLLO_REQUIRE(lambda_max > 0.0, "labels are constant");
-
-    std::vector<PathPoint> path;
-    CdResult warm;
-    double lambda = lambda_max * path_config.lambdaFactor;
-    double prev_lambda = lambda_max; // anchor for the sequential rule
-    for (uint32_t k = 0; k < path_config.maxPoints; ++k) {
-        base.penalty.lambda = lambda;
-        base.screenLambdaRef = prev_lambda;
-        PathPoint point;
-        point.lambda = lambda;
-        point.result =
-            solver.fit(base, path.empty() ? nullptr : &warm);
-        point.nonzeros = point.result.nonzeros();
-        warm = point.result;
-        APOLLO_COUNT("apollo.solver.path_points", 1);
-        APOLLO_OBSERVE("apollo.solver.lambda_sweeps",
-                       static_cast<double>(point.result.sweeps),
-                       ::apollo::obs::countBounds());
-        path.push_back(std::move(point));
-
-        if (path_config.stopAtNonzeros &&
-            path.back().nonzeros >= path_config.stopAtNonzeros)
-            break;
-        prev_lambda = lambda;
-        lambda *= path_config.lambdaFactor;
-        if (lambda < lambda_max * path_config.minLambdaRatio)
-            break;
-    }
-    return path;
-}
-
 namespace {
 
 /** Trim a solution's support to the target_q largest scaled weights. */
@@ -96,9 +56,8 @@ solveForTargetsQ(CdSolver &solver, CdConfig base,
 
     const double lambda_max = solver.lambdaMax();
     APOLLO_REQUIRE(lambda_max > 0.0, "labels are constant");
-    const PathConfig path_config;
-    const double factor = path_config.lambdaFactor;
-    const double lambda_floor = lambda_max * path_config.minLambdaRatio;
+    const double factor = kLambdaPathFactor;
+    const double lambda_floor = lambda_max * kLambdaPathMinRatio;
 
     std::vector<CdResult> results(targets.size());
     size_t next = 0; // index into `order`

@@ -1,9 +1,8 @@
 /**
  * @file
- * Lambda-path driver: warm-started geometric lambda descent for the
- * L1-family penalties (Lasso, MCP), plus a target-Q search — APOLLO
- * adjusts the penalty strength lambda to control the number of selected
- * proxies Q (§4.3).
+ * Target-Q search: a warm-started geometric lambda descent for the
+ * L1-family penalties (Lasso, MCP) — APOLLO adjusts the penalty
+ * strength lambda to control the number of selected proxies Q (§4.3).
  */
 
 #ifndef APOLLO_ML_SOLVER_PATH_HH
@@ -16,32 +15,11 @@
 
 namespace apollo {
 
-/** One solved point on a lambda path. */
-struct PathPoint
-{
-    double lambda = 0.0;
-    size_t nonzeros = 0;
-    CdResult result;
-};
+/** Geometric decay between consecutive lambdas of the target-Q walk. */
+inline constexpr double kLambdaPathFactor = 0.82;
 
-/** Path configuration. */
-struct PathConfig
-{
-    /** Geometric decay factor between consecutive lambdas. */
-    double lambdaFactor = 0.82;
-    /** Stop when lambda < lambdaMax * minLambdaRatio. */
-    double minLambdaRatio = 1e-4;
-    /** Stop as soon as nonzeros >= this (0 = never). */
-    size_t stopAtNonzeros = 0;
-    uint32_t maxPoints = 100;
-};
-
-/**
- * Run a warm-started lambda path from lambdaMax downward.
- * @p base supplies the penalty family (lambda overwritten per point).
- */
-std::vector<PathPoint> runLambdaPath(CdSolver &solver, CdConfig base,
-                                     const PathConfig &path_config);
+/** The walk stops below lambdaMax * kLambdaPathMinRatio. */
+inline constexpr double kLambdaPathMinRatio = 1e-4;
 
 /** Diagnostics from one target-Q search (over all of its targets). */
 struct TargetQDiagnostics
@@ -72,11 +50,11 @@ struct TargetQDiagnostics
 
 /**
  * Solve for several target supports with ONE warm-started path walk
- * (the Fig. 10/12 sweeps need solutions at many Q): the geometric path
- * of PathConfig{} runs from lambdaMax down until nonzeros reach each
- * target, in ascending order, and each overshot bracket
- * (lambda_k, lambda_{k-1}] — lambdaMax itself above the first point —
- * is bisected 12 times geometrically. If no lambda yields exactly a
+ * (the Fig. 10/12 sweeps need solutions at many Q): lambda falls from
+ * lambdaMax by kLambdaPathFactor per point, down to kLambdaPathMinRatio
+ * of it, until nonzeros reach each target, in ascending order, and
+ * each overshot bracket (lambda_k, lambda_{k-1}] — lambdaMax itself
+ * above the first point — is bisected 12 times geometrically. If no lambda yields exactly a
  * target (support jumps), the smallest support above it is trimmed to
  * the target's largest |w_j|*sqrt(a_j) weights (the downstream
  * relaxation refits anyway). Targets the path never reaches get its

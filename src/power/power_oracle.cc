@@ -1,6 +1,5 @@
 #include "power/power_oracle.hh"
 
-#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -50,57 +49,6 @@ PowerOracle::leakagePower() const
 {
     return params_.leakFraction * netlist_.totalCap() * halfV2_ *
            params_.outputScale;
-}
-
-double
-PowerOracle::cyclePower(const ActivityFrame &frame,
-                        std::span<const uint64_t> row_bits) const
-{
-    const size_t m = netlist_.signalCount();
-    APOLLO_REQUIRE(row_bits.size() * 64 >= m, "row bitmap too small");
-    double acc = 0.0;
-    for (size_t w = 0; w < row_bits.size(); ++w) {
-        uint64_t bits = row_bits[w];
-        while (bits) {
-            const size_t j =
-                w * 64 + static_cast<size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            if (j >= m)
-                break;
-            acc += signalContribution(static_cast<uint32_t>(j), frame);
-        }
-    }
-    return finalize(acc, frame.cycle);
-}
-
-PowerBreakdown
-PowerOracle::cyclePowerBreakdown(const ActivityFrame &frame,
-                                 std::span<const uint64_t> row_bits) const
-{
-    const size_t m = netlist_.signalCount();
-    PowerBreakdown bd;
-    for (size_t w = 0; w < row_bits.size(); ++w) {
-        uint64_t bits = row_bits[w];
-        while (bits) {
-            const size_t j =
-                w * 64 + static_cast<size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            if (j >= m)
-                break;
-            const Signal &sig = netlist_.signal(j);
-            const double dyn = halfV2_ * sig.cap;
-            bd.dynamic += dyn;
-            bd.unitDynamic[static_cast<size_t>(sig.unit)] += dyn;
-            if (sig.kind == SignalKind::CombWire && sig.glitchDepth > 0) {
-                bd.glitch += halfV2_ * params_.glitchFactor * sig.cap *
-                             sig.glitchDepth * frame.act(sig.unit);
-            }
-        }
-    }
-    bd.shortCircuit =
-        params_.shortCircuitFactor * (bd.dynamic + bd.glitch);
-    bd.leakage = params_.leakFraction * netlist_.totalCap() * halfV2_;
-    return bd;
 }
 
 } // namespace apollo

@@ -6,11 +6,17 @@
  * Per-cycle power (Eq. 2 of the paper, plus the smaller components):
  *
  *   dyn[i]    = 1/2 V^2 * sum of cap over toggling signals
- *   glitch[i] = glitchFactor * sum over toggling comb wires of
- *               cap * glitchDepth * unitActivity   (nonlinear residual)
- *   sc[i]     = shortCircuitFactor * dyn[i]
+ *   glitch[i] = 1/2 V^2 * glitchFactor * sum over toggling comb wires
+ *               of cap * glitchDepth * unitActivity (nonlinear residual)
+ *   sc[i]     = shortCircuitFactor * (dyn[i] + glitch[i])
  *   leak      = leakFraction * totalCap * 1/2 V^2  (constant)
  *   noise     = small multiplicative measurement noise (hash-seeded)
+ *
+ * One order defines the rounding (docs/INTERNALS.md §5): a cycle's
+ * signalContribution terms are added into one double over ascending
+ * signal ids, and finalize adds the rest. LabelAccumulator is the one
+ * production kernel of that order (dataset labels, GA fitness and the
+ * droop lab's truth power); src/ref transcribes it per cycle.
  *
  * The dominant dyn term is exactly linear in the toggle bits with
  * heterogeneous per-signal coefficients — the structure APOLLO's sparse
@@ -21,9 +27,7 @@
 #ifndef APOLLO_POWER_POWER_ORACLE_HH
 #define APOLLO_POWER_POWER_ORACLE_HH
 
-#include <array>
 #include <cstdint>
-#include <span>
 
 #include "rtl/netlist.hh"
 #include "uarch/activity_frame.hh"
@@ -44,22 +48,6 @@ struct PowerParams
     double outputScale = 1.0 / 400.0;
 };
 
-/** Per-cycle power components (pre-outputScale breakdown sums). */
-struct PowerBreakdown
-{
-    double dynamic = 0.0;
-    double glitch = 0.0;
-    double shortCircuit = 0.0;
-    double leakage = 0.0;
-    std::array<double, numUnits> unitDynamic{};
-
-    double
-    total() const
-    {
-        return dynamic + glitch + shortCircuit + leakage;
-    }
-};
-
 /** Ground-truth power calculator. */
 class PowerOracle
 {
@@ -68,21 +56,11 @@ class PowerOracle
                          const PowerParams &params = PowerParams{});
 
     /**
-     * Power of one cycle given the toggle bits of *all* signals packed in
-     * @p row_bits (bit j = signal j) and the cycle's frame.
-     */
-    double cyclePower(const ActivityFrame &frame,
-                      std::span<const uint64_t> row_bits) const;
-
-    /** Same, with a per-unit/per-component breakdown. */
-    PowerBreakdown cyclePowerBreakdown(
-        const ActivityFrame &frame,
-        std::span<const uint64_t> row_bits) const;
-
-    /**
-     * Per-signal contribution pieces, used by the dataset builder's
-     * per-cycle label pass: the linear cap term and the activity-scaled
-     * glitch term for signal @p sig_id toggling under @p frame.
+     * The definition of one toggle's contribution: the linear cap term
+     * plus the activity-scaled glitch term of signal @p sig_id
+     * toggling under @p frame. A cycle's contribution sum adds it over
+     * the toggling signals in ascending id; LabelAccumulator computes
+     * that sum for every ground-truth consumer with these operations.
      */
     double signalContribution(uint32_t sig_id,
                               const ActivityFrame &frame) const;

@@ -46,30 +46,16 @@ fitnessCyclePowers(const Netlist &netlist, const ActivityEngine &engine,
                    const PowerOracle &oracle,
                    std::span<const ActivityFrame> frames, uint32_t stride)
 {
-    const double half_v2 = oracle.halfVddSquared();
-    const double glitch_factor = oracle.params().glitchFactor;
     const size_t m = netlist.signalCount();
     const size_t n = frames.size();
-
     std::vector<double> out(n);
     for (size_t i = 0; i < n; ++i) {
-        float base = 0.0f;
-        float glitch[numUnits] = {};
+        double sum = 0.0;
         for (size_t j = 0; j < m; j += stride) {
             const auto sig_id = static_cast<uint32_t>(j);
-            if (!engine.toggles(sig_id, frames, i, 0))
-                continue;
-            const Signal &sig = netlist.signal(sig_id);
-            base += static_cast<float>(half_v2 * sig.cap);
-            if (sig.kind == SignalKind::CombWire && sig.glitchDepth > 0)
-                glitch[static_cast<size_t>(sig.unit)] +=
-                    static_cast<float>(half_v2 * glitch_factor *
-                                       sig.cap * sig.glitchDepth);
+            if (engine.toggles(sig_id, frames, i, 0))
+                sum += oracle.signalContribution(sig_id, frames[i]);
         }
-        double sum = static_cast<double>(base);
-        for (size_t u = 0; u < numUnits; ++u)
-            sum += static_cast<double>(frames[i].activity[u]) *
-                   static_cast<double>(glitch[u]);
         out[i] =
             oracle.finalize(sum * static_cast<double>(stride), i);
     }

@@ -5,14 +5,16 @@
  * power estimate and the dataset export, written as literal
  * transcriptions of the defined
  * per-cycle semantics — no batching, no bit kernels, no caching, no
- * shared code with activity/toggle_columns or power/oracle_accumulator
+ * shared code with activity/toggle_columns or power/label_accumulator
  * beyond the data containers.
  *
- * The production fitness pipeline is *defined* to be bit-exact against
- * this transcription (shared abstract accumulation order: float
- * contribution adds over ascending strided signals, double glitch
- * combine over ascending units, finalize, double mean over ascending
- * cycles), so the differential comparison is exact equality.
+ * Ground truth has one definition, the label order (INTERNALS.md §5):
+ * per cycle, one double sums PowerOracle::signalContribution over the
+ * toggling signals in ascending id, the sum is scaled by the signal
+ * stride (1 for labels) and finalized with the cycle's key. Both
+ * transcriptions below spell it out, and the production kernel
+ * (LabelAccumulator) is defined to be bit-exact against them, so the
+ * differential comparison is exact equality.
  */
 
 #ifndef APOLLO_REF_REFERENCE_GA_HH
@@ -53,15 +55,14 @@ Dataset datasetBuild(const Netlist &netlist, const ActivityEngine &engine,
                      std::span<const uint32_t> segment_begin_of);
 
 /**
- * Literal §4.1 fitness power transcription over one frame segment:
- * per cycle, a float sum of 1/2 V^2 cap_j over every toggling strided
- * signal (ascending j) plus per-unit float glitch sums
- * (1/2 V^2 glitchFactor cap_j glitchDepth_j for toggling CombWires),
- * combined in double over ascending units with the unit activity
- * factors, scaled by the stride, then PowerOracle::finalize. Weights
- * are recomputed here from the Signal fields and oracle parameters.
- * Bit-exact oracle for FitnessEvaluator::cyclePowers, and the
- * baseline bench_perf_ga times the GA pipeline against.
+ * Literal §4.1 fitness power transcription over one frame segment, in
+ * the label order: per cycle i, every toggling strided signal j
+ * (j = 0, stride, 2 stride, ..., ascending) adds
+ * oracle.signalContribution(j, frames[i]) into one double, and
+ * out[i] = oracle.finalize(sum * stride, i). At stride 1, float(out[i])
+ * is datasetBuild's y[i] for the same frames as one segment. Bit-exact
+ * oracle for FitnessEvaluator::cyclePowers, and the baseline
+ * bench_perf_ga times the GA pipeline against.
  */
 std::vector<double> fitnessCyclePowers(
     const Netlist &netlist, const ActivityEngine &engine,

@@ -1,12 +1,11 @@
 #include "trace/toggle_trace.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "activity/toggle_columns.hh"
-#include "gen/fitness_eval.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "power/label_accumulator.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -97,34 +96,35 @@ DatasetBuilder::build() const
 
     Dataset ds;
     ds.segments = segments_;
+    std::vector<uint32_t> all_ids(m);
+    for (size_t c = 0; c < m; ++c)
+        all_ids[c] = static_cast<uint32_t>(c);
     {
         APOLLO_TRACE_SPAN("trace.fill_columns");
-        std::vector<uint32_t> all_ids(m);
-        for (size_t c = 0; c < m; ++c)
-            all_ids[c] = static_cast<uint32_t>(c);
         fillToggleColumns(engine_, frames_, segmentBeginTable(), 0, n,
                           all_ids, ds.X);
     }
 
-    // Row-parallel labels: each cycle sums its toggling signals'
-    // contributions into one double over ascending signal ids, then
-    // finalizes, so the order does not depend on the pool size.
+    // Labels: the one ground-truth kernel over row blocks of the built
+    // columns; a row's sum does not depend on the blocking.
     ds.y.resize(n);
     {
         APOLLO_TRACE_SPAN("trace.label_pass");
-        parallelFor(ds.X.wordsPerCol(), [&](size_t w0, size_t w1) {
-            for (size_t w = w0; w < w1; ++w) {
-                double acc[64] = {};
-                for (size_t c = 0; c < m; ++c)
-                    for (uint64_t bits = ds.X.colWords(c)[w]; bits;
-                         bits &= bits - 1) {
-                        const int b = std::countr_zero(bits);
-                        acc[b] += oracle_.signalContribution(
-                            static_cast<uint32_t>(c), frames_[w * 64 + b]);
-                    }
-                for (size_t i = w * 64; i < std::min(n, w * 64 + 64); ++i)
-                    ds.y[i] = static_cast<float>(
-                        oracle_.finalize(acc[i - w * 64], i));
+        const LabelAccumulator proto(netlist_, oracle_);
+        const size_t block =
+            toggleBlockRows(n, ThreadPool::global().threadCount());
+        parallelFor((n + block - 1) / block, [&](size_t b0, size_t b1) {
+            LabelAccumulator acc(proto);
+            std::vector<double> power(block);
+            for (size_t b = b0; b < b1; ++b) {
+                const size_t row0 = b * block;
+                const size_t rows = std::min(block, n - row0);
+                acc.begin(std::span(frames_).subspan(row0, rows));
+                acc.add(all_ids, ds.X.colWords(0) + row0 / 64,
+                        ds.X.wordsPerCol());
+                acc.finish(1.0, row0, power.data());
+                for (size_t i = 0; i < rows; ++i)
+                    ds.y[row0 + i] = static_cast<float>(power[i]);
             }
         });
     }
@@ -140,21 +140,6 @@ DatasetBuilder::build() const
                        ::apollo::obs::ratioBounds());
     }
     return ds;
-}
-
-double
-DatasetBuilder::averagePower(const Program &prog, uint64_t max_cycles,
-                             uint32_t signal_stride) const
-{
-    APOLLO_REQUIRE(signal_stride >= 1, "stride must be positive");
-    // Fitness evaluation: simulate, then compute power on the fly from
-    // frames without storing features.
-    TimingCore core(coreParams_);
-    std::vector<ActivityFrame> frames;
-    core.run(prog, max_cycles,
-             [&](const ActivityFrame &f) { frames.push_back(f); });
-    FitnessEvaluator eval(netlist_, engine_, oracle_, signal_stride);
-    return eval.averagePower(frames);
 }
 
 BitColumnMatrix

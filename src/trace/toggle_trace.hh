@@ -54,22 +54,12 @@ class DatasetBuilder
     const std::vector<SegmentInfo> &segments() const { return segments_; }
 
     /**
-     * Materialize features for all M signals plus power labels whose
-     * summation order does not depend on the pool size. The builder
-     * can keep accepting programs and build() can be called repeatedly.
+     * Materialize features for all M signals plus power labels: y[i]
+     * is the float of LabelAccumulator's power of row i with key i, so
+     * no label depends on the pool size. The builder can keep
+     * accepting programs and build() can be called repeatedly.
      */
     Dataset build() const;
-
-    /**
-     * Average oracle power over a program without materializing
-     * features; used as the GA fitness function. @p signal_stride > 1
-     * estimates power from every stride-th signal (scaled back up) —
-     * fitness only needs relative ordering, and sampling cuts cost
-     * proportionally. Runs the gen/fitness_eval.hh pipeline (batched
-     * toggle columns + bit-kernel accumulation; INTERNALS.md §9).
-     */
-    double averagePower(const Program &prog, uint64_t max_cycles,
-                        uint32_t signal_stride = 1) const;
 
     const Netlist &netlist() const { return netlist_; }
     const CoreParams &coreParams() const { return coreParams_; }

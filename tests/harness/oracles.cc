@@ -880,7 +880,7 @@ runShardPrefilter(uint64_t seed)
     // Admission accounting: the per-shard counters must transcribe the
     // production rule exactly, and agree with the naive reference on
     // every column whose margin clears the dot-rounding band.
-    const double factor = PathConfig{}.lambdaFactor;
+    const double factor = kLambdaPathFactor;
     const std::vector<uint64_t> prod_admit =
         prod.admittedAtFirstPoint(factor);
     const std::vector<bool> ref_admit =

@@ -260,25 +260,6 @@ TEST(CdSolver, WarmStartConvergesFaster)
     EXPECT_NEAR(warm.trainMse, cold.trainMse, 1e-6 + 0.01 * cold.trainMse);
 }
 
-TEST(SolverPath, MonotoneSupportGrowth)
-{
-    const SparseProblem prob = makeProblem(2000, 100, 8, 41);
-    BitFeatureView view(prob.X);
-    CdSolver solver(view, prob.y);
-    CdConfig cfg;
-    cfg.penalty.kind = PenaltyKind::Mcp;
-    PathConfig pc;
-    pc.stopAtNonzeros = 50;
-    const auto path = runLambdaPath(solver, cfg, pc);
-    ASSERT_GT(path.size(), 3u);
-    // Support should (weakly) grow as lambda decreases, modulo small
-    // local non-monotonicity from the non-convex penalty; check the
-    // trend via endpoints.
-    EXPECT_LT(path.front().nonzeros, path.back().nonzeros);
-    for (size_t i = 1; i < path.size(); ++i)
-        EXPECT_LT(path[i].lambda, path[i - 1].lambda);
-}
-
 TEST(SolverPath, MultiTargetMatchesSingleTarget)
 {
     const SparseProblem prob = makeProblem(2500, 150, 10, 43);

@@ -179,7 +179,7 @@ TEST(OracleEdges, ConstantLabelsLambdaPathIsRejected)
     CdSolver solver(view, y, CdSolver::Options{.parallel = false});
     CdConfig base;
     base.penalty.kind = PenaltyKind::Lasso;
-    EXPECT_THROW(runLambdaPath(solver, base, PathConfig{}), FatalError);
+    EXPECT_THROW(solveForTargetsQ(solver, base, {1}), FatalError);
 }
 
 // --- regression pins for divergences found by the oracle layer -------

@@ -1,27 +1,36 @@
 /**
  * @file
  * Tests for the RTL netlist generator, the activity engine (toggle
- * semantics + statelessness contract), the power oracle, and the PDN
- * model.
+ * semantics + statelessness contract), the power oracle and its one
+ * ground-truth kernel (LabelAccumulator), and the PDN model.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "activity/activity_engine.hh"
 #include "activity/toggle_columns.hh"
+#include "flow/flows.hh"
+#include "gen/fitness_eval.hh"
+#include "power/label_accumulator.hh"
 #include "power/pdn_model.hh"
 #include "power/power_oracle.hh"
 #include "rtl/design_builder.hh"
 #include "trace/stream_reader.hh"
 #include "trace/toggle_trace.hh"
 #include "uarch/core.hh"
+#include "util/rng.hh"
 
 namespace apollo {
 namespace {
 
 using namespace asm_helpers;
+
+constexpr LabelAccumulator::Impl kLabelImpls[] = {
+    LabelAccumulator::Impl::Portable, LabelAccumulator::Impl::Avx512};
 
 Netlist
 tinyNetlist()
@@ -337,53 +346,101 @@ TEST(PowerOracle, PowerScalesWithActivity)
     EXPECT_GT(idle_power, 0.0) << "leakage floor must be positive";
 }
 
-TEST(PowerOracle, BreakdownMatchesComponents)
-{
-    const Netlist nl = tinyNetlist();
-    PowerOracle oracle(nl);
-    ActivityFrame frame;
-    for (size_t u = 0; u < numUnits; ++u) {
-        frame.activity[u] = 0.5f;
-        frame.clockEnabled[u] = true;
-        frame.dataToggle[u] = 0.5f;
-    }
-    // All signals toggling.
-    const size_t words = (nl.signalCount() + 63) / 64;
-    std::vector<uint64_t> row(words, ~0ULL);
-
-    const PowerBreakdown bd = oracle.cyclePowerBreakdown(frame, row);
-    EXPECT_GT(bd.dynamic, 0.0);
-    EXPECT_GT(bd.glitch, 0.0);
-    EXPECT_GT(bd.leakage, 0.0);
-    EXPECT_NEAR(bd.shortCircuit,
-                oracle.params().shortCircuitFactor *
-                    (bd.dynamic + bd.glitch),
-                1e-9);
-
-    double unit_sum = 0.0;
-    for (double u : bd.unitDynamic)
-        unit_sum += u;
-    EXPECT_NEAR(unit_sum, bd.dynamic, 1e-6 * bd.dynamic);
-
-    // cyclePower (with noise) should be within a few percent of the
-    // breakdown total (scaled).
-    const double p = oracle.cyclePower(frame, row);
-    const double expect =
-        bd.total() * oracle.params().outputScale;
-    EXPECT_NEAR(p, expect, 0.1 * expect);
-}
-
 TEST(PowerOracle, MostlyLinearInToggles)
 {
     // The dyn component must dominate: zero toggles => leakage only.
     const Netlist nl = tinyNetlist();
     PowerOracle oracle(nl);
-    ActivityFrame frame;
-    const size_t words = (nl.signalCount() + 63) / 64;
-    std::vector<uint64_t> none(words, 0);
-    const double floor = oracle.cyclePower(frame, none);
-    EXPECT_NEAR(floor, oracle.leakagePower(),
-                0.1 * oracle.leakagePower() + 1e-9);
+    const std::vector<ActivityFrame> frames(3);
+    std::vector<uint32_t> ids(nl.signalCount());
+    std::iota(ids.begin(), ids.end(), 0u);
+    const std::vector<uint64_t> none(ids.size(), 0);
+    for (const LabelAccumulator::Impl impl : kLabelImpls) {
+        if (!LabelAccumulator::implAvailable(impl))
+            continue;
+        LabelAccumulator acc(nl, oracle, impl);
+        acc.begin(frames);
+        acc.add(ids, none.data(), 1);
+        double floor[3];
+        acc.finish(1.0, 0, floor);
+        for (const double p : floor)
+            EXPECT_NEAR(p, oracle.leakagePower(),
+                        0.1 * oracle.leakagePower() + 1e-9)
+                << LabelAccumulator::implName(impl);
+    }
+}
+
+TEST(LabelAccumulator, EveryImplMatchesTheLabelOrder)
+{
+    // Random bits (also past the last row, which must be ignored) and
+    // unit activity over 200 rows; a stride-3 subset of the signals
+    // added in uneven calls that cross chunk boundaries.
+    const Netlist nl = tinyNetlist();
+    const PowerOracle oracle(nl);
+    constexpr size_t kRows = 200;
+    constexpr size_t kWords = (kRows + 63) / 64;
+    constexpr uint32_t kStride = 3;
+    constexpr uint64_t kFirstKey = 100;
+    Xoshiro256StarStar rng(0x1abe1);
+    std::vector<ActivityFrame> frames(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+        frames[i].cycle = i;
+        for (size_t u = 0; u < numUnits; ++u)
+            frames[i].activity[u] = static_cast<float>(rng.nextDouble());
+    }
+    std::vector<uint32_t> ids;
+    for (size_t j = 0; j < nl.signalCount(); j += kStride)
+        ids.push_back(static_cast<uint32_t>(j));
+    std::vector<uint64_t> cols(ids.size() * kWords);
+    for (uint64_t &w : cols)
+        w = rng() & rng();
+
+    std::vector<double> want(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+        double sum = 0.0;
+        for (size_t k = 0; k < ids.size(); ++k)
+            if ((cols[k * kWords + i / 64] >> (i % 64)) & 1)
+                sum += oracle.signalContribution(ids[k], frames[i]);
+        want[i] = oracle.finalize(sum * kStride, kFirstKey + i);
+    }
+
+    const size_t splits[] = {0, 5, 45, 46, ids.size()};
+    for (const LabelAccumulator::Impl impl : kLabelImpls) {
+        if (!LabelAccumulator::implAvailable(impl))
+            continue;
+        LabelAccumulator acc(nl, oracle, impl);
+        acc.begin(frames);
+        for (size_t s = 0; s + 1 < std::size(splits); ++s)
+            acc.add(std::span(ids).subspan(splits[s],
+                                           splits[s + 1] - splits[s]),
+                    cols.data() + splits[s] * kWords, kWords);
+        std::vector<double> got(kRows);
+        acc.finish(kStride, kFirstKey, got.data());
+        for (size_t i = 0; i < kRows; ++i)
+            ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                      std::bit_cast<uint64_t>(want[i]))
+                << LabelAccumulator::implName(impl) << " row " << i;
+    }
+}
+
+TEST(LabelAccumulator, FitnessPowersAreDatasetLabels)
+{
+    // One definition of ground truth: stride-1 fitness (the droop
+    // lab's truth power) over a builder's one segment is its labels.
+    // Runs on the dispatched kernel; the dispatch.no_avx512_yes ctest
+    // repeats it on the portable one.
+    const Netlist nl = tinyNetlist();
+    DatasetBuilder builder(nl);
+    builder.addProgram(makeLongWorkload("phase_mix", 700), 700);
+    const Dataset ds = builder.build();
+    const FitnessEvaluator eval(nl, builder.engine(), builder.oracle());
+    std::vector<double> powers;
+    eval.cyclePowers(builder.frames(), powers);
+    ASSERT_EQ(powers.size(), ds.y.size());
+    for (size_t i = 0; i < powers.size(); ++i)
+        ASSERT_EQ(std::bit_cast<uint32_t>(static_cast<float>(powers[i])),
+                  std::bit_cast<uint32_t>(ds.y[i]))
+            << "row " << i << " of " << powers.size();
 }
 
 TEST(PdnModel, StepRespondsToCurrentStepAndRingsBack)

@@ -14,6 +14,7 @@
 
 #include "activity/activity_engine.hh"
 #include "activity/toggle_kernels.hh"
+#include "power/label_accumulator.hh"
 #include "rtl/design_builder.hh"
 #include "util/bitvec.hh"
 #include "util/bitvec_kernels.hh"
@@ -276,6 +277,8 @@ TEST(KernelDispatch, Avx512OverrideReachesEveryKernelFamily)
     EXPECT_FALSE(bitkernels::avx512Enabled());
     EXPECT_NE(togglekernels::bestImpl(), togglekernels::Impl::Avx512);
     EXPECT_NE(popkernels::bestImpl(), popkernels::Impl::Avx512);
+    EXPECT_NE(LabelAccumulator::bestImpl(),
+              LabelAccumulator::Impl::Avx512);
     // The row orientation as the closed loop binds it.
     const Netlist netlist = DesignBuilder::build(DesignConfig::tiny());
     const std::vector<uint32_t> ids = {0, 1, 2};

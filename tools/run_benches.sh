@@ -11,6 +11,7 @@
 #
 # Environment:
 #   BUILD_DIR   build tree to use (default: build)
+#   JOBS        parallel compile jobs (default: 4)
 #   APOLLO_NATIVE=1 configures the build with -march=native kernels.
 #   APOLLO_OBS_OFF_DIR  compiled-out observability tree (default:
 #               build-obs-off). Both observability configurations are
@@ -21,6 +22,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
+JOBS=${JOBS:-4}
 
 cmake_flags=()
 if [[ "${APOLLO_NATIVE:-0}" == "1" ]]; then
@@ -28,7 +30,7 @@ if [[ "${APOLLO_NATIVE:-0}" == "1" ]]; then
 fi
 
 cmake -B "$BUILD_DIR" -S . "${cmake_flags[@]}"
-cmake --build "$BUILD_DIR" -j --target bench_perf_solver \
+cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_perf_solver \
     --target bench_stream_infer --target bench_perf_ga \
     --target bench_obs_overhead --target bench_serve \
     --target bench_droop_lab --target bench_perf_uarch
@@ -82,7 +84,7 @@ echo "perf.stream_bitparallel guard passed"
 # build and run with every APOLLO_COUNT/SPAN macro expanded to nothing.
 OBS_OFF_DIR=${APOLLO_OBS_OFF_DIR:-build-obs-off}
 cmake -B "$OBS_OFF_DIR" -S . "${cmake_flags[@]}" -DAPOLLO_OBS=OFF
-cmake --build "$OBS_OFF_DIR" -j --target bench_perf_solver \
+cmake --build "$OBS_OFF_DIR" -j "$JOBS" --target bench_perf_solver \
     --target bench_obs_overhead
 "$OBS_OFF_DIR"/bench/bench_perf_solver --smoke \
     --out="$OBS_OFF_DIR"/BENCH_solver_obs_off.json

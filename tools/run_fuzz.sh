@@ -14,18 +14,20 @@
 #   BUILD_DIR          build tree (default: build-asan, built with
 #                      APOLLO_SANITIZE=ON so UB surfaces as a report)
 #   APOLLO_FUZZ_SEED   base seed (default: fixed; vary for new paths)
+#   JOBS               parallel compile jobs (default: 4)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build-asan}
 SECONDS_PER_TARGET=${1:-60}
+JOBS=${JOBS:-4}
 shift || true
 TARGETS=("$@")
 [[ ${#TARGETS[@]} -gt 0 ]] || TARGETS=(aptr vcd dataset packed)
 
 cmake -B "$BUILD_DIR" -S . -DAPOLLO_SANITIZE=ON
 for t in "${TARGETS[@]}"; do
-    cmake --build "$BUILD_DIR" -j --target "fuzz_$t"
+    cmake --build "$BUILD_DIR" -j "$JOBS" --target "fuzz_$t"
 done
 
 for t in "${TARGETS[@]}"; do

@@ -18,6 +18,8 @@
 #               multi-session determinism suite drives 8 sessions
 #               over pools of 1/2/8 workers under it.
 #   BUILD_DIR   sanitizer build tree (default: build-${SANITIZER})
+#   JOBS        parallel compile jobs (default: 4; each ASan compiler
+#               takes well over 100 MB)
 #   APOLLO_OBS=OFF  sanitize the compiled-out observability
 #               configuration instead (tree: ${BUILD_DIR}-obs-off),
 #               proving the instrumented hot paths are clean in both
@@ -33,6 +35,7 @@ case "$SANITIZER" in
        exit 2 ;;
 esac
 BUILD_DIR=${BUILD_DIR:-build-${SANITIZER}}
+JOBS=${JOBS:-4}
 
 obs_flags=()
 if [[ "${APOLLO_OBS:-ON}" == "OFF" ]]; then
@@ -41,7 +44,7 @@ if [[ "${APOLLO_OBS:-ON}" == "OFF" ]]; then
 fi
 
 cmake -B "$BUILD_DIR" -S . "${san_flags[@]}" "${obs_flags[@]}"
-cmake --build "$BUILD_DIR" -j --target apollo_tests \
+cmake --build "$BUILD_DIR" -j "$JOBS" --target apollo_tests \
     --target apollo_oracle_tests \
     --target fuzz_aptr --target fuzz_vcd --target fuzz_dataset \
     --target fuzz_packed
@@ -64,9 +67,11 @@ elif [[ "$SANITIZER" == "tsan" ]]; then
     # gradient passes fan over the global pool (SolverBatchedDots), and
     # the row toggle kernel the lab's pool workers call every cycle
     # (activity_toggle_rows; ControlClosedLoop checks the loop against
-    # its per-proxy reference).
+    # its per-proxy reference), and the label-order power kernel under
+    # the dataset label pass's row blocks on the global pool
+    # (LabelAccumulator).
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool|solver_bit_dots|BitKernelAgreement|SolverBatchedDots|activity_toggle_rows'
+        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool|solver_bit_dots|BitKernelAgreement|SolverBatchedDots|activity_toggle_rows|LabelAccumulator'
 else
     # Streaming + serving suites, the flat timing core's ring indexing
     # (UarchCore), plus the differential-oracle layer (label "oracle":
@@ -77,9 +82,11 @@ else
     # checked too, and so do the packed-bit dot oracle, agreement, band
     # and batched-sweep tests (solver_bit_dots, BitKernel*,
     # SolverBatchedDots), the row toggle kernel oracle
-    # (activity_toggle_rows) and the closed loop against its per-proxy
-    # reference (ControlClosedLoop, inside Control).
-    suites='ThreadPool|gen_fitness_batch|solver_bit_dots|activity_toggle_rows|BitKernelAgreement|BitKernelBand|SolverBatchedDots|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+    # (activity_toggle_rows), the closed loop against its per-proxy
+    # reference (ControlClosedLoop, inside Control), and the label-order
+    # power kernel with its leakage floor (LabelAccumulator,
+    # PowerOracle).
+    suites='LabelAccumulator|PowerOracle|ThreadPool|gen_fitness_batch|solver_bit_dots|activity_toggle_rows|BitKernelAgreement|BitKernelBand|SolverBatchedDots|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
     # The same suites on the portable kernels: ASan does not check
