@@ -19,14 +19,23 @@
  *     OpmSimulator::simulate() and the naive ref::opmSimulate()), and
  *     every popcount implementation the host runs produces the same
  *     segment sums as the default dispatch.
+ *  4. The per-cycle float kernel (bitkernels weightedSum, behind
+ *     ApolloModel::cycleSums): ns per proxy-word of every bit-kernel
+ *     implementation at 16,384 rows (one served chunk) and at 1M rows
+ *     (smoke: 64k), Q = 159, hot cache, against the per-column loop it
+ *     replaced (fill, then one axpy per proxy through the same
+ *     implementation). Every output must equal the portable entry
+ *     word for word; in full mode no implementation may be slower
+ *     than its own per-column loop.
  *
- * Results go to BENCH_stream.json.
+ * Results go to BENCH_stream.json, headed by bench/common's hostJson().
  *
  * Usage: bench_stream_infer [--smoke] [--reps=N] [--out=PATH]
  */
 
 #include <sys/resource.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +49,7 @@
 
 #include "opm/opm_bitparallel.hh"
 #include "ref/reference_kernels.hh"
+#include "util/bitvec_kernels.hh"
 #include "util/popcnt_kernels.hh"
 
 using namespace apollo;
@@ -347,6 +357,84 @@ main(int argc, char **argv)
         }
     }
 
+    // ---- 4. Weighted-sum ablation: the per-cycle float kernel per
+    //         bit-kernel implementation, against the per-column loop it
+    //         replaced. Every output must equal the portable entry.
+    struct SumRow
+    {
+        std::string name;
+        size_t rows = 0;
+        double nsPerWord = 0.0;
+        double loopNsPerWord = 0.0;
+        bool identical = false;
+    };
+    std::vector<SumRow> sum_rows;
+    const size_t sum_q = 159;
+    {
+        const ApolloModel sum_model = makeModel(sum_q, seed ^ 0x5a5a);
+        const float start = static_cast<float>(sum_model.intercept);
+        using bitkernels::Impl;
+        const auto bitsOf = [](const std::vector<float> &v) {
+            std::vector<uint32_t> out(v.size());
+            for (size_t i = 0; i < v.size(); ++i)
+                out[i] = std::bit_cast<uint32_t>(v[i]);
+            return out;
+        };
+        for (const size_t rows :
+             {size_t{16384}, smoke ? size_t{65536} : size_t{1} << 20}) {
+            BitColumnMatrix Xs;
+            fillChunkWords(Xs, 0, rows, sum_q, seed ^ 0x5a5a);
+            std::vector<const uint64_t *> cols(sum_q);
+            for (size_t c = 0; c < sum_q; ++c)
+                cols[c] = Xs.colWords(c);
+            const size_t wpc = Xs.wordsPerCol();
+            const int sum_reps =
+                rows <= 16384 ? (smoke ? 20 : 200) : (smoke ? 5 : 10);
+            const double words = static_cast<double>(sum_q * wpc);
+            std::vector<float> want(rows), got(rows);
+            bitkernels::implKernels(Impl::Portable)
+                .weightedSum(cols.data(), sum_model.weights.data(), sum_q,
+                             wpc, rows, start, want.data());
+            const std::vector<uint32_t> want_bits = bitsOf(want);
+            for (const Impl impl : {Impl::Portable, Impl::Avx512}) {
+                if (!bitkernels::implAvailable(impl))
+                    continue;
+                const bitkernels::Kernels &k = bitkernels::implKernels(impl);
+                SumRow row;
+                row.name = bitkernels::implName(impl);
+                row.rows = rows;
+                row.identical = true;
+                double best = 1e300;
+                double best_loop = 1e300;
+                for (int rep = 0; rep < sum_reps; ++rep) {
+                    double t0 = nowSeconds();
+                    k.weightedSum(cols.data(), sum_model.weights.data(),
+                                  sum_q, wpc, rows, start, got.data());
+                    best = std::min(best, nowSeconds() - t0);
+                    row.identical = row.identical && bitsOf(got) == want_bits;
+                    t0 = nowSeconds();
+                    std::fill(got.begin(), got.end(), start);
+                    for (size_t c = 0; c < sum_q; ++c)
+                        if (sum_model.weights[c] != 0.0f)
+                            k.axpy(cols[c], wpc, rows,
+                                   sum_model.weights[c], got.data());
+                    best_loop = std::min(best_loop, nowSeconds() - t0);
+                    row.identical = row.identical && bitsOf(got) == want_bits;
+                }
+                row.nsPerWord = best * 1e9 / words;
+                row.loopNsPerWord = best_loop * 1e9 / words;
+                std::printf("  weighted_sum[%s] %zu x %zu: %.3f ns/proxy-word "
+                            "(%.1f us)  per-column loop %.3f  speedup "
+                            "%.2fx  identical=%s\n",
+                            row.name.c_str(), rows, sum_q, row.nsPerWord,
+                            best * 1e6, row.loopNsPerWord,
+                            row.loopNsPerWord / row.nsPerWord,
+                            row.identical ? "yes" : "NO");
+                sum_rows.push_back(std::move(row));
+            }
+        }
+    }
+
     const double batch_rss = maxRssMb();
     const double mem_ratio =
         static_cast<double>(mem10.peakBufferBytes) /
@@ -356,6 +444,8 @@ main(int argc, char **argv)
     os << "{\n";
     os << "  \"bench\": \"stream_infer\",\n";
     os << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
+    os << "  \"host\": " << bench::hostJson() << ",\n";
+    os << "  \"reps\": " << reps << ",\n";
     os << "  \"n\": " << n << ",\n  \"q\": " << q << ",\n  \"T\": " << T
        << ",\n";
     os << "  \"memory\": {\n";
@@ -399,6 +489,19 @@ main(int argc, char **argv)
            << (i + 1 < kernel_rows.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
+    os << "  \"weighted_sum\": [\n";
+    for (size_t i = 0; i < sum_rows.size(); ++i) {
+        const SumRow &row = sum_rows[i];
+        os << "    {\"impl\": \"" << row.name << "\", \"rows\": " << row.rows
+           << ", \"q\": " << sum_q
+           << ", \"ns_per_proxy_word\": " << row.nsPerWord
+           << ", \"column_loop_ns_per_proxy_word\": " << row.loopNsPerWord
+           << ", \"speedup_vs_column_loop\": "
+           << row.loopNsPerWord / row.nsPerWord << ", \"bit_identical\": "
+           << (row.identical ? "true" : "false") << "}"
+           << (i + 1 < sum_rows.size() ? "," : "") << "\n";
+    }
+    os << "  ],\n";
     os << "  \"obs\": " << bench::obsDeltaJson(obs_before) << "\n";
     os << "}\n";
     std::printf("wrote %s\n", out.c_str());
@@ -440,5 +543,23 @@ main(int argc, char **argv)
                          row.name.c_str());
             ok = false;
         }
+    for (const SumRow &row : sum_rows) {
+        if (!row.identical) {
+            std::fprintf(stderr,
+                         "FAIL: weighted sum '%s' at %zu rows differs "
+                         "from the portable entry\n",
+                         row.name.c_str(), row.rows);
+            ok = false;
+        }
+        if (!smoke && row.nsPerWord > row.loopNsPerWord) {
+            std::fprintf(stderr,
+                         "FAIL: weighted sum '%s' at %zu rows is slower "
+                         "than its per-column loop (%.3f vs %.3f "
+                         "ns/proxy-word)\n",
+                         row.name.c_str(), row.rows, row.nsPerWord,
+                         row.loopNsPerWord);
+            ok = false;
+        }
+    }
     return ok ? 0 : 1;
 }

@@ -1,11 +1,13 @@
 #include "core/apollo_model.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <type_traits>
 #include <unordered_set>
 
 #include "util/logging.hh"
@@ -46,13 +48,15 @@ ApolloModel::cycleSums(const BitColumnMatrix &X, Layout layout,
     APOLLO_REQUIRE(layout == Layout::Full || X.cols() == proxyIds.size(),
                    "proxy matrix arity mismatch");
     APOLLO_REQUIRE(out.size() >= X.rows(), "output buffer too small");
-    std::fill(out.begin(), out.begin() + X.rows(), start);
+    std::vector<const uint64_t *> cols(proxyIds.size());
     for (size_t q = 0; q < proxyIds.size(); ++q) {
         const size_t col = layout == Layout::Full ? proxyIds[q] : q;
         APOLLO_REQUIRE(col < X.cols(), "proxy id out of range");
-        if (weights[q] != 0.0f)
-            X.axpyColumn(col, weights[q], out.data());
+        cols[q] = X.colWords(col);
     }
+    bitkernels::weightedSumWords(cols.data(), weights.data(), cols.size(),
+                                 X.wordsPerCol(), X.rows(), start,
+                                 out.data());
 }
 
 void
@@ -66,32 +70,72 @@ ApolloModel::save(std::ostream &os) const
         os << proxyIds[q] << " " << weights[q] << "\n";
 }
 
-ApolloModel
+namespace {
+
+/** Parse a whole token as a finite number: ParseError names @p what. */
+template <typename T>
+Status
+parseToken(const std::string &token, const char *what, T &value)
+{
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return Status::parseError(what, " '", token, "' is not ",
+                                  std::is_integral_v<T>
+                                      ? "an unsigned integer"
+                                      : "a finite number");
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value))
+            return Status::parseError(what, " '", token,
+                                      "' is not a finite number");
+    }
+    return Status::okStatus();
+}
+
+} // namespace
+
+StatusOr<ApolloModel>
 ApolloModel::load(std::istream &is)
 {
     std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    APOLLO_REQUIRE(magic == "apollo-model" && version == 1,
-                   "not an apollo model file");
+    std::string version;
+    if (!(is >> magic >> version) || magic != "apollo-model" ||
+        version != "1")
+        return Status::parseError("not an apollo model file");
     ApolloModel model;
-    is >> model.designName;
+    std::string count_token;
+    std::string intercept_token;
+    if (!(is >> model.designName >> count_token >> intercept_token))
+        return Status::parseError("truncated model header");
     size_t q = 0;
-    is >> q >> model.intercept;
+    if (Status st = parseToken(count_token, "proxy count", q); !st.ok())
+        return st;
+    if (Status st = parseToken(intercept_token, "intercept",
+                               model.intercept);
+        !st.ok())
+        return st;
     // The declared count is untrusted: the vectors grow only with the
     // entries the stream actually holds.
     std::unordered_set<uint32_t> seen;
     for (size_t i = 0; i < q; ++i) {
+        std::string id_token;
+        std::string weight_token;
+        if (!(is >> id_token >> weight_token))
+            return Status::parseError("truncated model file: ", i, " of ",
+                                      q, " proxy entries");
         uint32_t id = 0;
         float weight = 0.0f;
-        if (!(is >> id >> weight))
-            break;
-        APOLLO_REQUIRE(seen.insert(id).second, "duplicate proxy id ", id,
-                       " in model file");
+        if (Status st = parseToken(id_token, "proxy id", id); !st.ok())
+            return st;
+        if (Status st = parseToken(weight_token, "weight", weight);
+            !st.ok())
+            return st;
+        if (!seen.insert(id).second)
+            return Status::parseError("duplicate proxy id ", id,
+                                      " in model file");
         model.proxyIds.push_back(id);
         model.weights.push_back(weight);
     }
-    APOLLO_REQUIRE(static_cast<bool>(is), "truncated model file");
     return model;
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/bitvec.hh"
+#include "util/status.hh"
 
 namespace apollo {
 
@@ -60,7 +61,10 @@ struct ApolloModel
     /**
      * The one per-cycle float kernel: out[i] = @p start, then += w_q
      * for each set bit of row i in proxy q's column, in ascending q
-     * (zero weights skipped). predictFull/predictProxies start from the
+     * (zero weights skipped), through bitkernels::weightedSumWords
+     * (256-row blocks summed in registers across every proxy on
+     * AVX-512, one axpy per proxy on the portable kernels; the same
+     * bits either way). predictFull/predictProxies start from the
      * intercept; the Eq. (9) window paths and the windowed streaming
      * engine start from 0 and add the intercept once per window. Per
      * element the float additions do not depend on how rows are
@@ -72,13 +76,15 @@ struct ApolloModel
                    std::span<float> out) const;
 
     /**
-     * Serialize / parse a small text format. load() throws FatalError
-     * on a bad header, a stream holding fewer entries than it declares
-     * (without allocating for the declared count), or a repeated
-     * proxy id.
+     * Serialize / parse a small text format. load() returns ParseError
+     * for a bad header, a stream holding fewer entries than it
+     * declares (without allocating for the declared count), an
+     * intercept or weight that is not a finite number (`nan`, `inf`,
+     * `1e99`), a malformed proxy id, or a repeated proxy id. Only
+     * whole tokens parse: `1e`, `0x1p3` and `+1` are malformed.
      */
     void save(std::ostream &os) const;
-    static ApolloModel load(std::istream &is);
+    static StatusOr<ApolloModel> load(std::istream &is);
 };
 
 /**

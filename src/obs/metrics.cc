@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 namespace apollo::obs {
@@ -17,6 +18,14 @@ constexpr std::array<double, 9> kRatioBounds = {
 
 constexpr std::array<double, 10> kCountBounds = {
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0};
+
+/** 1e-6 * 10^(i/10) for i = 0..70: 1 us to 10 s. */
+const std::array<double, 71> kFineLatencyBounds = [] {
+    std::array<double, 71> bounds{};
+    for (size_t i = 0; i < bounds.size(); ++i)
+        bounds[i] = 1e-6 * std::pow(10.0, static_cast<double>(i) / 10.0);
+    return bounds;
+}();
 
 void
 atomicAddDouble(std::atomic<double> &target, double delta)
@@ -71,6 +80,34 @@ std::span<const double>
 countBounds()
 {
     return kCountBounds;
+}
+
+std::span<const double>
+fineLatencyBounds()
+{
+    return kFineLatencyBounds;
+}
+
+double
+histogramQuantile(const Histogram &hist, double q)
+{
+    const std::span<const double> bounds = hist.bounds();
+    uint64_t total = 0;
+    for (size_t i = 0; i <= bounds.size(); ++i)
+        total += hist.bucketCount(i);
+    if (total == 0 || bounds.empty())
+        return 0.0;
+    const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+    double below = 0.0;
+    for (size_t i = 0; i < bounds.size(); ++i) {
+        const auto n = static_cast<double>(hist.bucketCount(i));
+        if (n > 0.0 && below + n >= rank) {
+            const double lo = i == 0 ? 0.0 : bounds[i - 1];
+            return lo + (bounds[i] - lo) * std::max(rank - below, 0.0) / n;
+        }
+        below += n;
+    }
+    return bounds.back();
 }
 
 Histogram::Histogram(std::span<const double> bounds)

@@ -141,6 +141,21 @@ std::span<const double> ratioBounds();
 std::span<const double> countBounds();
 
 /**
+ * Wall-clock seconds at ten buckets per decade (1e-6 * 10^(i/10), 1 us
+ * to 10 s), fine enough to read percentiles from: adjacent bounds are
+ * 26% apart.
+ */
+std::span<const double> fineLatencyBounds();
+
+/**
+ * The @p q quantile (0..1) of @p hist's observations, interpolated
+ * linearly inside the bucket that holds it (a bucket's lower edge is
+ * the previous bound, or 0). Observations in the overflow bucket read
+ * as the last bound; an empty histogram reads 0.
+ */
+double histogramQuantile(const Histogram &hist, double q);
+
+/**
  * RAII wall-clock timer: records elapsed seconds into a histogram on
  * destruction. A null histogram makes the timer inert (the disabled
  * path).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "util/thread_pool.hh"
 
 namespace apollo::serve {
@@ -15,6 +16,29 @@ namespace {
  * session from starving the others without giving up batching.
  */
 constexpr size_t kDrainBudget = 4;
+
+using Clock = std::chrono::steady_clock;
+
+/** One chunk's queue wait and compute-plus-emit time, per engine. */
+void
+observeChunk([[maybe_unused]] bool quantized,
+             [[maybe_unused]] double wait_s,
+             [[maybe_unused]] double compute_s)
+{
+    [[maybe_unused]] const std::span<const double> bounds =
+        obs::fineLatencyBounds();
+    if (quantized) {
+        APOLLO_OBSERVE("apollo.serve.chunk_wait_seconds.quantized", wait_s,
+                       bounds);
+        APOLLO_OBSERVE("apollo.serve.chunk_compute_seconds.quantized",
+                       compute_s, bounds);
+    } else {
+        APOLLO_OBSERVE("apollo.serve.chunk_wait_seconds.float", wait_s,
+                       bounds);
+        APOLLO_OBSERVE("apollo.serve.chunk_compute_seconds.float",
+                       compute_s, bounds);
+    }
+}
 
 uint64_t
 encodeId(size_t slot, uint32_t generation)
@@ -201,6 +225,8 @@ SessionManager::submitChunk(SessionId id, BitColumnMatrix bits)
     PendingChunk chunk;
     chunk.firstCycle = session->acceptedCycles;
     chunk.bits = std::move(bits);
+    if (APOLLO_OBS_ON())
+        chunk.enqueued = Clock::now();
     session->acceptedCycles += rows;
     session->chunksIn++;
     session->queue.push_back(std::move(chunk));
@@ -381,6 +407,7 @@ SessionManager::workerLoop()
 void
 SessionManager::processSession(size_t slot)
 {
+    APOLLO_TRACE_SPAN("serve.drain");
     Session &session = *slots_[slot];
     size_t budget = kDrainBudget;
     for (;;) {
@@ -413,6 +440,10 @@ SessionManager::processSession(size_t slot)
             session.cv.notify_all();
         }
         budget--;
+        const bool timed =
+            APOLLO_OBS_ON() && chunk.enqueued != Clock::time_point{};
+        const Clock::time_point dequeued =
+            timed ? Clock::now() : Clock::time_point{};
 
         // Compute + ordered emission outside the lock: the strand
         // token guarantees exclusive access to pipe/sums/sink, and
@@ -429,6 +460,13 @@ SessionManager::processSession(size_t slot)
         session.pipe->computeSums(chunk.bits, session.sums);
         Status sunk = session.pipe->emit(session.sums, *session.sink);
         const uint64_t emitted = session.pipe->outputs() - before;
+        if (timed)
+            observeChunk(
+                session.entry->quantized(),
+                std::chrono::duration<double>(dequeued - chunk.enqueued)
+                    .count(),
+                std::chrono::duration<double>(Clock::now() - dequeued)
+                    .count());
         if (emitted > 0) {
             outputs_.fetch_add(emitted, std::memory_order_relaxed);
             APOLLO_COUNT("apollo.serve.outputs", emitted);

@@ -32,7 +32,11 @@
  *
  * Obs surface (`apollo.serve.*`): active_sessions and queue_depth
  * gauges, sessions/chunks/cycles/outputs/backpressure_stalls
- * counters, chunks_per_sec gauge refreshed as sessions close.
+ * counters, chunks_per_sec gauge refreshed as sessions close, and per
+ * engine (`.float`, `.quantized`) two histograms over
+ * obs::fineLatencyBounds(): chunk_wait_seconds (submit to a worker's
+ * dequeue) and chunk_compute_seconds (computeSums plus emit). Each
+ * strand drain is one `serve.drain` trace span.
  */
 
 #ifndef APOLLO_SERVE_SESSION_MANAGER_HH
@@ -205,6 +209,8 @@ class SessionManager
     {
         BitColumnMatrix bits;
         uint64_t firstCycle = 0;
+        /** When submitChunk queued it (set only while metrics are on). */
+        std::chrono::steady_clock::time_point enqueued;
     };
 
     struct Session

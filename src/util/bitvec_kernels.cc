@@ -1,6 +1,8 @@
 #include "util/bitvec_kernels.hh"
 
+#include <algorithm>
 #include <bit>
+#include <vector>
 
 #include "util/kernel_env.hh"
 #include "util/logging.hh"
@@ -125,8 +127,22 @@ axpyWordsPortable(const uint64_t *words, size_t nwords, size_t nrows,
     (void)nwords;
 }
 
+/** Weighted sum, column at a time: fill, then one axpy per nonzero
+ *  weight. */
+void
+weightedSumPortable(const uint64_t *const *cols, const float *weights,
+                    size_t ncols, size_t nwords, size_t nrows, float start,
+                    float *out)
+{
+    std::fill(out, out + nrows, start);
+    for (size_t c = 0; c < ncols; ++c)
+        if (weights[c] != 0.0f)
+            axpyWordsPortable(cols[c], nwords, nrows, weights[c], out);
+}
+
 constexpr Kernels kPortable = {dotWordsPortable, dotBatchPortable,
-                               dotWordsFastPortable, axpyWordsPortable};
+                               dotWordsFastPortable, axpyWordsPortable,
+                               weightedSumPortable};
 
 #ifdef APOLLO_HAVE_AVX512_KERNELS
 
@@ -322,8 +338,129 @@ axpyWordsAvx512(const uint64_t *words, size_t nwords, size_t nrows,
     (void)nrows;
 }
 
+/** Column words per row block of the weighted sum: 256 rows, held in
+ *  16 float registers. */
+constexpr size_t kSumBlockWords = 4;
+/** Prefetch distance of each column stream, in words (4 blocks). */
+constexpr size_t kSumPrefetchWords = 16;
+
+/**
+ * One row block of the weighted sum: rows [64 k0, 64 (k0 + NW)) start
+ * at @p start, and each live column adds its weight under its NW
+ * words' 16-bit row masks, columns in ascending order. Every row gets
+ * the same float adds, in the same order, as the column-at-a-time
+ * loop. Columns are read only at words k0 .. k0 + NW - 1.
+ */
+template <int NW>
+APOLLO_AVX512_TARGET inline void
+sumBlockAvx512(const uint64_t *const *cols, const float *weights,
+               size_t ncols, size_t k0, size_t prefetch_word,
+               __m512 start, __m512 (&acc)[4 * NW])
+{
+#pragma GCC unroll 16
+    for (int i = 0; i < 4 * NW; ++i)
+        acc[i] = start;
+    for (size_t c = 0; c < ncols; ++c) {
+        const uint64_t *w = cols[c];
+        _mm_prefetch(reinterpret_cast<const char *>(w + prefetch_word),
+                     _MM_HINT_T0);
+        const __m512 d = _mm512_set1_ps(weights[c]);
+#pragma GCC unroll 4
+        for (int j = 0; j < NW; ++j) {
+            const uint64_t bits = w[k0 + j];
+#pragma GCC unroll 4
+            for (int g = 0; g < 4; ++g)
+                acc[4 * j + g] = _mm512_mask_add_ps(
+                    acc[4 * j + g],
+                    static_cast<__mmask16>(bits >> (16 * g)),
+                    acc[4 * j + g], d);
+        }
+    }
+}
+
+/** The tail block: NW words holding @p rows rows (1 .. 64 NW), stored
+ *  under row masks so nothing past them is written. */
+template <int NW>
+APOLLO_AVX512_TARGET void
+sumTailAvx512(const uint64_t *const *cols, const float *weights,
+              size_t ncols, size_t k0, size_t rows, __m512 start,
+              float *out)
+{
+    __m512 acc[4 * NW];
+    sumBlockAvx512<NW>(cols, weights, ncols, k0, k0, start, acc);
+#pragma GCC unroll 16
+    for (int i = 0; i < 4 * NW; ++i) {
+        const size_t lane0 = 16 * static_cast<size_t>(i);
+        const size_t n = rows > lane0 ? std::min<size_t>(rows - lane0, 16)
+                                      : 0;
+        _mm512_mask_storeu_ps(out + lane0,
+                              static_cast<__mmask16>((1u << n) - 1),
+                              acc[i]);
+    }
+}
+
+/**
+ * Row-blocked weighted sum: the nonzero-weight columns are listed
+ * once, then every 256-row block is summed in registers across all of
+ * them and stored once. Full blocks are stored whole; the tail block
+ * (1 .. 255 rows, reading only its own words) under row masks.
+ */
+APOLLO_AVX512_TARGET void
+weightedSumAvx512(const uint64_t *const *cols, const float *weights,
+                  size_t ncols, size_t nwords, size_t nrows, float start,
+                  float *out)
+{
+    std::vector<const uint64_t *> live_cols;
+    std::vector<float> live_weights;
+    live_cols.reserve(ncols);
+    live_weights.reserve(ncols);
+    for (size_t c = 0; c < ncols; ++c) {
+        if (weights[c] != 0.0f) {
+            live_cols.push_back(cols[c]);
+            live_weights.push_back(weights[c]);
+        }
+    }
+    const size_t n = live_cols.size();
+    const __m512 s = _mm512_set1_ps(start);
+    const size_t full_blocks = nrows / (64 * kSumBlockWords);
+    for (size_t b = 0; b < full_blocks; ++b) {
+        const size_t k0 = b * kSumBlockWords;
+        __m512 acc[16];
+        sumBlockAvx512<4>(live_cols.data(), live_weights.data(), n, k0,
+                          std::min(k0 + kSumPrefetchWords, nwords - 1), s,
+                          acc);
+        float *o = out + 64 * k0;
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            _mm512_storeu_ps(o + 16 * i, acc[i]);
+    }
+    const size_t k0 = full_blocks * kSumBlockWords;
+    const size_t rows = nrows - 64 * k0;
+    float *o = out + 64 * k0;
+    switch ((rows + 63) / 64) {
+      case 1:
+        sumTailAvx512<1>(live_cols.data(), live_weights.data(), n, k0,
+                         rows, s, o);
+        break;
+      case 2:
+        sumTailAvx512<2>(live_cols.data(), live_weights.data(), n, k0,
+                         rows, s, o);
+        break;
+      case 3:
+        sumTailAvx512<3>(live_cols.data(), live_weights.data(), n, k0,
+                         rows, s, o);
+        break;
+      case 4:
+        sumTailAvx512<4>(live_cols.data(), live_weights.data(), n, k0,
+                         rows, s, o);
+        break;
+      default: break; // no tail rows
+    }
+}
+
 constexpr Kernels kAvx512 = {dotWordsAvx512, dotBatchAvx512,
-                             dotWordsFastAvx512, axpyWordsAvx512};
+                             dotWordsFastAvx512, axpyWordsAvx512,
+                             weightedSumAvx512};
 
 #pragma GCC diagnostic pop
 
@@ -382,6 +519,7 @@ avx512Enabled()
 const DotFn dotWords = bestKernels().dot;
 const DotBatchFn dotWordsBatch = bestKernels().dotBatch;
 const AxpyFn axpyWords = bestKernels().axpy;
+const WeightedSumFn weightedSumWords = bestKernels().weightedSum;
 const DotFn dotWordsFast = bestKernels().dotFast;
 
 } // namespace apollo::bitkernels

@@ -1,7 +1,8 @@
 /**
  * @file
  * Packed-bit column kernels behind BitColumnMatrix::dotColumn /
- * dotColumns / axpyColumn, with runtime CPU dispatch.
+ * dotColumns / axpyColumn and ApolloModel::cycleSums, with runtime CPU
+ * dispatch.
  *
  * Each dot has ONE summation order, defined here and implemented once
  * per dispatch path, so every implementation returns the same bits:
@@ -22,6 +23,13 @@
  * There is no per-word density crossover: the summation order never
  * depends on how many bits a word sets.
  *
+ * The weighted column sum (weightedSum, Eq. (1) per row) has one float
+ * order too: out[row] starts at `start`, then adds weights[c] for each
+ * column c, in ascending c, whose bit is set at that row. A zero
+ * weight, +0.0 or -0.0, is skipped: adding +0.0 would turn a -0.0 sum
+ * into +0.0. That is exactly the sequence of axpys it replaces, so
+ * every implementation returns the same bits.
+ *
  * Implementations:
  *  - portable: a countr_zero walk over each word's set bits (an
  *    all-ones word adds its 64 lanes straight), adding into the
@@ -32,7 +40,15 @@
  *    dot loads and widens each word's 64 floats once under the OR of
  *    its columns' masks and adds them into every column's chains with
  *    that column's mask — the same adds, into the same chains, in the
- *    same order as the single dot.
+ *    same order as the single dot. The weighted sum is row-blocked:
+ *    a block of 4 column words (256 rows) keeps its sums in 16
+ *    registers while every nonzero-weight column adds its weight
+ *    under the block's 16-bit row masks, and is stored once (the tail
+ *    block under a row mask). Each column is prefetched 16 words
+ *    ahead for chunks that arrive cold: a block reads only 32 bytes
+ *    of each of a hundred or more interleaved column streams. The
+ *    portable weighted sum is the column-at-a-time loop: fill, then
+ *    one axpy per column.
  *
  * The dispatch pointers resolve once at static initialization from
  * __builtin_cpu_supports; APOLLO_NO_AVX512 turns the AVX-512 kernels
@@ -72,6 +88,16 @@ using DotBatchFn = void (*)(const uint64_t *const *cols, size_t ncols,
 /** axpy: dense[row] += delta over set bits. */
 using AxpyFn = void (*)(const uint64_t *words, size_t nwords, size_t nrows,
                         float delta, float *dense);
+/**
+ * Weighted column sum in the order above: out[row] = @p start plus
+ * weights[c] for every set bit of column cols[c] (each nwords words),
+ * c < ncols ascending, zero weights skipped. Writes out[0, nrows) and
+ * nothing else.
+ */
+using WeightedSumFn = void (*)(const uint64_t *const *cols,
+                               const float *weights, size_t ncols,
+                               size_t nwords, size_t nrows, float start,
+                               float *out);
 
 /** Columns per batch dot call: each word's widened floats are shared
  *  across this many columns (widths 2, 4 and 8 measured; 8 fastest). */
@@ -84,6 +110,7 @@ struct Kernels
     DotBatchFn dotBatch; ///< up to kDotBatch exact dots, lane order
     DotFn dotFast;      ///< float-chain dot within dotFastRelErr()
     AxpyFn axpy;
+    WeightedSumFn weightedSum; ///< per-row weighted column sum
 };
 
 /** Implementations, in increasing ISA requirement order. */
@@ -107,6 +134,7 @@ bool avx512Enabled();
 extern const DotFn dotWords;
 extern const DotBatchFn dotWordsBatch;
 extern const AxpyFn axpyWords;
+extern const WeightedSumFn weightedSumWords;
 /**
  * Approximate dot for bounded-error passes (float chains, no
  * widening). Callers that make exact decisions must recompute with

@@ -89,7 +89,10 @@ makeInferCase(uint64_t seed)
 {
     Xoshiro256StarStar rng(hashMix(seed));
     InferCase c;
-    const uint64_t shape = hashMix(seed ^ 0x1f3a) % 8;
+    const uint64_t shape = hashMix(seed ^ 0x1f3a) % 10;
+    // Word and 256-row block edges of the per-cycle kernels.
+    static constexpr size_t kBlockEdgeRows[] = {63,  64,  65,  255, 256,
+                                                257, 511, 512, 513};
 
     size_t rows = 16 + rng.nextBounded(500);
     size_t q = 2 + rng.nextBounded(40);
@@ -119,7 +122,17 @@ makeInferCase(uint64_t seed)
       case 6:
         c.shape = "big-intercept";
         break;
-      default: c.shape = "many-proxies"; q = 48 + rng.nextBounded(80);
+      case 7: c.shape = "many-proxies"; q = 48 + rng.nextBounded(80); break;
+      case 8:
+        c.shape = "block-edge";
+        rows = kBlockEdgeRows[rng.nextBounded(std::size(kBlockEdgeRows))];
+        break;
+      default:
+        // Sparse bits under mostly-zero weights of both signs: many
+        // rows must keep the -0.0 intercept, which adding a zero
+        // weight would turn into +0.0.
+        c.shape = "negzero-intercept";
+        density = 0.1;
     }
 
     c.Xq = randomBits(rng, rows, q, density);
@@ -129,6 +142,14 @@ makeInferCase(uint64_t seed)
     c.model.weights = randomWeights(rng, q);
     c.model.intercept = shape == 6 ? rng.nextRange(-500.0, 500.0)
                                    : rng.nextRange(-5.0, 5.0);
+    if (shape == 9) {
+        c.model.intercept = -0.0;
+        for (float &w : c.model.weights) {
+            const double u = rng.nextDouble();
+            if (u < 0.6)
+                w = u < 0.3 ? 0.0f : -0.0f;
+        }
+    }
     c.model.designName = "gen";
 
     c.segments = randomSegments(rng, rows);

@@ -65,7 +65,8 @@ fmt(const char *format, ...)
     return buf;
 }
 
-/** Exact float comparison; NaN anywhere is a failure. */
+/** Bit-for-bit float comparison (so -0.0 differs from +0.0); NaN
+ *  anywhere is a failure. */
 std::optional<std::string>
 compareExact(std::span<const float> prod, std::span<const float> want,
              const std::string &shape)
@@ -74,7 +75,9 @@ compareExact(std::span<const float> prod, std::span<const float> want,
         return fmt("shape=%s: size mismatch prod=%zu ref=%zu",
                    shape.c_str(), prod.size(), want.size());
     for (size_t i = 0; i < prod.size(); ++i) {
-        if (prod[i] != want[i] || std::isnan(prod[i]))
+        if (std::bit_cast<uint32_t>(prod[i]) !=
+                std::bit_cast<uint32_t>(want[i]) ||
+            std::isnan(prod[i]))
             return fmt("shape=%s: element %zu: prod=%a ref=%a",
                        shape.c_str(), i, static_cast<double>(prod[i]),
                        static_cast<double>(want[i]));

@@ -9,7 +9,9 @@
 
 #include <sys/resource.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/apollo_trainer.hh"
@@ -164,7 +166,9 @@ TEST(ApolloModel, SaveLoadRoundTrip)
 
     std::stringstream ss;
     res.model.save(ss);
-    const ApolloModel loaded = ApolloModel::load(ss);
+    StatusOr<ApolloModel> read = ApolloModel::load(ss);
+    ASSERT_TRUE(read.ok()) << read.status().toString();
+    const ApolloModel &loaded = *read;
     EXPECT_EQ(loaded.designName, "tiny-design");
     EXPECT_EQ(loaded.proxyIds, res.model.proxyIds);
     EXPECT_NEAR(loaded.intercept, res.model.intercept, 1e-9);
@@ -190,7 +194,12 @@ TEST(ApolloModel, LoadReadsNoMoreThanTheFileHolds)
     for (const char *count : {"50000000", "4611686018427387904"}) {
         std::istringstream is(std::string("apollo-model 1\nd\n") + count +
                               " 0\n1 0.5\n");
-        EXPECT_THROW(ApolloModel::load(is), FatalError) << count;
+        const StatusOr<ApolloModel> model = ApolloModel::load(is);
+        ASSERT_FALSE(model.ok()) << count;
+        EXPECT_EQ(model.status().code(), StatusCode::ParseError) << count;
+        EXPECT_NE(model.status().message().find("truncated"),
+                  std::string::npos)
+            << model.status().toString();
     }
     EXPECT_LT(peakRssKiB() - before, 64 * 1024);
 }
@@ -198,7 +207,67 @@ TEST(ApolloModel, LoadReadsNoMoreThanTheFileHolds)
 TEST(ApolloModel, LoadRejectsDuplicateProxyIds)
 {
     std::istringstream is("apollo-model 1\nd\n2 0\n3 0.25\n3 0.5\n");
-    EXPECT_THROW(ApolloModel::load(is), FatalError);
+    const StatusOr<ApolloModel> model = ApolloModel::load(is);
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.status().code(), StatusCode::ParseError);
+    EXPECT_NE(model.status().message().find("duplicate proxy id 3"),
+              std::string::npos)
+        << model.status().toString();
+}
+
+TEST(ApolloModel, LoadRejectsBadHeadersAndNonFiniteNumbers)
+{
+    struct Bad
+    {
+        const char *text;
+        const char *why; ///< expected in the status message
+    };
+    const Bad cases[] = {
+        {"", "not an apollo model file"},
+        {"apollo-model 2\nd\n0 0\n", "not an apollo model file"},
+        {"apollo-modle 1\nd\n0 0\n", "not an apollo model file"},
+        {"apollo-model 1\nd\n1\n", "truncated model header"},
+        {"apollo-model 1\nd\n-1 0\n", "proxy count"},
+        {"apollo-model 1\nd\n1 nan\n3 0.5\n", "intercept 'nan'"},
+        {"apollo-model 1\nd\n1 0\n3 nan\n", "weight 'nan'"},
+        {"apollo-model 1\nd\n1 0\n3 inf\n", "weight 'inf'"},
+        {"apollo-model 1\nd\n1 0\n3 -inf\n", "weight '-inf'"},
+        {"apollo-model 1\nd\n1 0\n3 1e99\n", "weight '1e99'"},
+        {"apollo-model 1\nd\n1 0\n3 1e\n", "weight '1e'"},
+        {"apollo-model 1\nd\n1 0\n-3 0.5\n", "proxy id '-3'"},
+        {"apollo-model 1\nd\n1 0\n4294967296 0.5\n", "proxy id"},
+        {"apollo-model 1\nd\n2 0\n3 0.5\n", "truncated model file"},
+    };
+    for (const Bad &bad : cases) {
+        std::istringstream is(bad.text);
+        const StatusOr<ApolloModel> model = ApolloModel::load(is);
+        ASSERT_FALSE(model.ok()) << bad.text;
+        EXPECT_EQ(model.status().code(), StatusCode::ParseError) << bad.text;
+        EXPECT_NE(model.status().message().find(bad.why), std::string::npos)
+            << bad.text << " -> " << model.status().toString();
+    }
+}
+
+TEST(ApolloModel, SaveLoadKeepsEveryFiniteWeightBitForBit)
+{
+    ApolloModel model;
+    model.designName = "edge";
+    model.intercept = -0.0;
+    model.proxyIds = {7, 0, 4294967295u, 12, 13};
+    model.weights = {-0.0f, std::numeric_limits<float>::denorm_min(),
+                     std::numeric_limits<float>::max(), 1e-40f,
+                     0.30000001192092896f};
+    std::stringstream ss;
+    model.save(ss);
+    StatusOr<ApolloModel> read = ApolloModel::load(ss);
+    ASSERT_TRUE(read.ok()) << read.status().toString();
+    EXPECT_EQ(read->proxyIds, model.proxyIds);
+    EXPECT_EQ(std::bit_cast<uint64_t>(read->intercept),
+              std::bit_cast<uint64_t>(model.intercept));
+    for (size_t q = 0; q < model.weights.size(); ++q)
+        EXPECT_EQ(std::bit_cast<uint32_t>(read->weights[q]),
+                  std::bit_cast<uint32_t>(model.weights[q]))
+            << q;
 }
 
 TEST(RelaxProxySet, WorksOnArbitrarySets)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,28 @@ TEST(MetricRegistry, HistogramBucketBoundaries)
     EXPECT_EQ(h.bucketCount(2), 2u); // 3.0, 5.0
     EXPECT_EQ(h.bucketCount(3), 1u); // 7.0 (overflow)
     EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 2.0 + 3.0 + 5.0 + 7.0);
+}
+
+TEST(MetricRegistry, HistogramQuantileInterpolatesInsideBuckets)
+{
+    obs::Histogram h(std::vector<double>{1.0, 2.0, 4.0});
+    EXPECT_EQ(obs::histogramQuantile(h, 0.5), 0.0); // empty
+    for (double v : {0.5, 1.5, 1.5, 3.0})
+        h.observe(v);
+    // Ranks 0..4 over buckets (0,1] x1, (1,2] x2, (2,4] x1.
+    EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 0.25), 1.0);
+    EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 0.5), 1.5);
+    EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 0.75), 2.0);
+    EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 1.0), 4.0);
+    h.observe(9.0); // overflow reads as the last bound
+    EXPECT_DOUBLE_EQ(obs::histogramQuantile(h, 1.0), 4.0);
+
+    const std::span<const double> fine = obs::fineLatencyBounds();
+    ASSERT_EQ(fine.size(), 71u);
+    EXPECT_DOUBLE_EQ(fine.front(), 1e-6);
+    EXPECT_NEAR(fine.back(), 10.0, 1e-12);
+    for (size_t i = 1; i < fine.size(); ++i)
+        EXPECT_NEAR(fine[i] / fine[i - 1], std::pow(10.0, 0.1), 1e-12);
 }
 
 TEST(MetricRegistry, SnapshotIsDeterministicWithSortedKeys)
@@ -291,6 +314,37 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
                                      control::defaultDroopLabConfig(300))
                     .ok());
 
+    // Serve: a float and a quantized session over two workers.
+    {
+        auto registry = std::make_shared<serve::ModelRegistry>();
+        ASSERT_TRUE(registry->addFloat("f", trained.model).ok());
+        ASSERT_TRUE(registry->addQuantizedVariant("q", "f", 10, 32).ok());
+        serve::SessionManager manager(registry,
+                                      serve::ServeConfig().withThreads(2));
+        VectorSink fsink, qsink;
+        StatusOr<serve::SessionId> fid =
+            manager.createSession({.model = "f"}, &fsink);
+        StatusOr<serve::SessionId> qid =
+            manager.createSession({.model = "q"}, &qsink);
+        ASSERT_TRUE(fid.ok() && qid.ok());
+        for (size_t first = 0; first + 256 <= proxies.rows();
+             first += 256) {
+            ASSERT_TRUE(
+                manager.submitChunk(*fid, proxies.sliceRows(first, 256))
+                    .ok());
+            ASSERT_TRUE(
+                manager.submitChunk(*qid, proxies.sliceRows(first, 256))
+                    .ok());
+        }
+        ASSERT_TRUE(manager.closeSession(*fid).ok());
+        ASSERT_TRUE(manager.closeSession(*qid).ok());
+    }
+    for (const char *name : {"apollo.serve.chunk_wait_seconds.float",
+                             "apollo.serve.chunk_compute_seconds.float",
+                             "apollo.serve.chunk_wait_seconds.quantized",
+                             "apollo.serve.chunk_compute_seconds.quantized"})
+        EXPECT_GT(reg.histogram(name).count(), 0u) << name;
+
     const auto counters = reg.counterValues();
     for (const char *name :
          {"apollo.solver.fits", "apollo.solver.path_points",
@@ -314,7 +368,7 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
     for (const char *prefix :
          {"apollo.solver.", "apollo.ga.", "apollo.stream.",
           "apollo.activity.", "apollo.opm.", "apollo.flow.",
-          "apollo.uarch."})
+          "apollo.uarch.", "apollo.serve."})
         EXPECT_NE(snapshot.find(prefix), std::string::npos)
             << "snapshot lacks subsystem " << prefix;
 
@@ -330,7 +384,8 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
           "gen.fitness_batch", "control.simulate", "control.calibrate",
           "control.truth_batch", "control.assemble",
           "control.closed_loop", "control.replay", "ml.path_point",
-          "ml.strong_sweep", "ml.active_sweep", "ml.kkt_pass"})
+          "ml.strong_sweep", "ml.active_sweep", "ml.kkt_pass",
+          "serve.drain"})
         EXPECT_NE(trace_json.find(span), std::string::npos)
             << "trace lacks span " << span;
 }

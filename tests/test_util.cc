@@ -275,6 +275,9 @@ TEST(KernelDispatch, Avx512OverrideReachesEveryKernelFamily)
     if (!kernelOverrideSet("APOLLO_NO_AVX512"))
         return;
     EXPECT_FALSE(bitkernels::avx512Enabled());
+    EXPECT_EQ(bitkernels::weightedSumWords,
+              bitkernels::implKernels(bitkernels::Impl::Portable)
+                  .weightedSum);
     EXPECT_NE(togglekernels::bestImpl(), togglekernels::Impl::Avx512);
     EXPECT_NE(popkernels::bestImpl(), popkernels::Impl::Avx512);
     EXPECT_NE(LabelAccumulator::bestImpl(),

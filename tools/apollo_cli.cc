@@ -100,6 +100,27 @@ class Args
     std::map<std::string, std::string> values_;
 };
 
+/**
+ * The model file at @p path: IoError when it cannot be opened,
+ * ApolloModel::load's ParseError when it is malformed.
+ */
+StatusOr<ApolloModel>
+readModelFile(const std::string &path)
+{
+    std::ifstream is(path);
+    if (!is.is_open())
+        return Status::ioError("cannot open model file ", path);
+    return ApolloModel::load(is);
+}
+
+/** Print @p status as the CLI's error line; returns the exit code. */
+int
+reportError(const Status &status)
+{
+    std::fprintf(stderr, "error: %s\n", status.toString().c_str());
+    return 1;
+}
+
 DesignConfig
 designByName(const std::string &name)
 {
@@ -216,9 +237,11 @@ cmdTrain(const Args &args)
 int
 cmdEval(const Args &args)
 {
-    std::ifstream is(args.get("model", "model.txt"));
-    APOLLO_REQUIRE(is.is_open(), "cannot open model file");
-    const ApolloModel model = ApolloModel::load(is);
+    StatusOr<ApolloModel> loaded =
+        readModelFile(args.get("model", "model.txt"));
+    if (!loaded.ok())
+        return reportError(loaded.status());
+    const ApolloModel &model = *loaded;
     const Dataset test = loadDatasetFile(args.get("data", "test.apds"));
 
     const auto pred = model.predictFull(test.X);
@@ -241,9 +264,11 @@ cmdEval(const Args &args)
 int
 cmdOpm(const Args &args)
 {
-    std::ifstream is(args.get("model", "model.txt"));
-    APOLLO_REQUIRE(is.is_open(), "cannot open model file");
-    const ApolloModel model = ApolloModel::load(is);
+    StatusOr<ApolloModel> loaded =
+        readModelFile(args.get("model", "model.txt"));
+    if (!loaded.ok())
+        return reportError(loaded.status());
+    const ApolloModel &model = *loaded;
     const Netlist netlist =
         DesignBuilder::build(designByName(args.get("design", "tiny")));
     const auto bits = static_cast<uint32_t>(args.getInt("bits", 10));
@@ -279,9 +304,11 @@ cmdTrace(const Args &args)
 {
     const auto cycles =
         static_cast<uint64_t>(args.getCount("cycles", 100000));
-    std::ifstream is(args.get("model", "model.txt"));
-    APOLLO_REQUIRE(is.is_open(), "cannot open model file");
-    const ApolloModel model = ApolloModel::load(is);
+    StatusOr<ApolloModel> loaded =
+        readModelFile(args.get("model", "model.txt"));
+    if (!loaded.ok())
+        return reportError(loaded.status());
+    const ApolloModel &model = *loaded;
     const Netlist netlist =
         DesignBuilder::build(designByName(args.get("design", "tiny")));
 
@@ -335,9 +362,11 @@ cmdDroopLab(const Args &args)
     if (Status st = cfg.validate(); !st.ok())
         fatal(st.toString());
 
-    std::ifstream is(args.get("model", "model.txt"));
-    APOLLO_REQUIRE(is.is_open(), "cannot open model file");
-    const ApolloModel model = ApolloModel::load(is);
+    StatusOr<ApolloModel> loaded =
+        readModelFile(args.get("model", "model.txt"));
+    if (!loaded.ok())
+        return reportError(loaded.status());
+    const ApolloModel &model = *loaded;
     const Netlist netlist =
         DesignBuilder::build(designByName(args.get("design", "tiny")));
 
@@ -384,9 +413,10 @@ cmdServe(const Args &args)
 
     const std::string model_path = args.get("model");
     APOLLO_REQUIRE(!model_path.empty(), "serve needs --model FILE");
-    std::ifstream is(model_path);
-    APOLLO_REQUIRE(is.is_open(), "cannot open model file ", model_path);
-    const ApolloModel model = ApolloModel::load(is);
+    StatusOr<ApolloModel> loaded = readModelFile(model_path);
+    if (!loaded.ok())
+        return reportError(loaded.status());
+    const ApolloModel &model = *loaded;
 
     const std::string name = args.get("name", "default");
     const auto bits = static_cast<uint32_t>(args.getInt("bits", 0));
@@ -448,9 +478,10 @@ cmdServeGen(const Args &args)
 {
     const std::string model_path = args.get("model");
     APOLLO_REQUIRE(!model_path.empty(), "serve-gen needs --model FILE");
-    std::ifstream is(model_path);
-    APOLLO_REQUIRE(is.is_open(), "cannot open model file ", model_path);
-    const ApolloModel model = ApolloModel::load(is);
+    StatusOr<ApolloModel> loaded = readModelFile(model_path);
+    if (!loaded.ok())
+        return reportError(loaded.status());
+    const ApolloModel &model = *loaded;
     const size_t q = model.proxyCount();
 
     const std::string name = args.get("name", "default");

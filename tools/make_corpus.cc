@@ -1,9 +1,10 @@
 /**
  * @file
  * Regenerates the checked-in fuzz seed corpus (tests/corpus/): small
- * valid APTR / VCD / APDS artifacts plus systematically malformed
- * variants (truncations at interesting offsets, bad magics, absurd
- * declared sizes). Deterministic — running it twice produces identical
+ * valid APTR / VCD / APDS artifacts, serve wire request lines and
+ * model files, plus systematically malformed variants (truncations at
+ * interesting offsets, bad magics, absurd declared sizes, forged tail
+ * bits, non-finite weights). Deterministic — running it twice produces identical
  * bytes, so the corpus only changes when the formats do.
  *
  * Usage: make_corpus <output-dir>
@@ -16,6 +17,8 @@
 #include <sstream>
 #include <string>
 
+#include "core/apollo_model.hh"
+#include "serve/wire.hh"
 #include "trace/dataset.hh"
 #include "trace/dataset_io.hh"
 #include "trace/stream_reader.hh"
@@ -166,6 +169,106 @@ makeDatasetCorpus(const fs::path &dir)
     writeFile(dir / "forged_tail.apds", patch(valid, 24, &forged_word, 8));
 }
 
+void
+makeWireCorpus(const fs::path &dir)
+{
+    writeFile(dir / "list_models.ndjson",
+              "{\"schema_version\":1,\"op\":\"list_models\"}\n");
+    serve::WireRequest create;
+    create.op = serve::RequestOp::CreateSession;
+    create.session = "s0";
+    create.model = "n1_q10";
+    create.windowT = 32;
+    writeFile(dir / "create_session.ndjson", serve::encodeRequest(create));
+    serve::WireRequest close;
+    close.op = serve::RequestOp::CloseSession;
+    close.session = "s0";
+    writeFile(dir / "close_session.ndjson", serve::encodeRequest(close));
+    close.op = serve::RequestOp::CancelSession;
+    writeFile(dir / "cancel_session.ndjson", serve::encodeRequest(close));
+
+    // 70 cycles x 2 proxies: the second word of each column is a
+    // 6-row tail, kept zero past row 70.
+    serve::WireRequest submit;
+    submit.op = serve::RequestOp::SubmitChunk;
+    submit.session = "s0";
+    submit.bits.reset(70, 2);
+    Xoshiro256StarStar rng(0x3172e);
+    for (size_t c = 0; c < 2; ++c)
+        for (size_t r = 0; r < 70; ++r)
+            if (rng.nextDouble() < 0.4)
+                submit.bits.setBit(r, c);
+    submit.bits.setBit(69, 1);
+    const std::string zero_tail = serve::encodeRequest(submit);
+    writeFile(dir / "submit_zero_tail.ndjson", zero_tail);
+    submit.bits.reset(128, 1);
+    for (size_t r = 0; r < 128; r += 3)
+        submit.bits.setBit(r, 0);
+    writeFile(dir / "submit_full_words.ndjson",
+              serve::encodeRequest(submit));
+    // Row 70 of column 0 set: bit 6 of the tail word, past the
+    // declared cycles. The word's hex digits start 16 digits into the
+    // payload, most significant first, so bit 6 is digit 14 ("4").
+    std::string forged = zero_tail;
+    const size_t payload = forged.find("\"bits\":\"") + 8;
+    forged[payload + 16 + 14] = '4';
+    writeFile(dir / "submit_forged_tail.ndjson", forged);
+    // Declared sizes past the protocol bounds, and one whose payload
+    // size overflows 64 bits, each with a tiny payload.
+    writeFile(dir / "submit_huge_cycles.ndjson",
+              "{\"schema_version\":1,\"op\":\"submit_chunk\",\"session\":"
+              "\"s0\",\"cycles\":4294967297,\"proxies\":1,\"bits\":"
+              "\"0000000000000000\"}\n");
+    writeFile(dir / "submit_huge_proxies.ndjson",
+              "{\"schema_version\":1,\"op\":\"submit_chunk\",\"session\":"
+              "\"s0\",\"cycles\":64,\"proxies\":1048577,\"bits\":"
+              "\"0000000000000000\"}\n");
+    writeFile(dir / "submit_max_dims.ndjson",
+              "{\"schema_version\":1,\"op\":\"submit_chunk\",\"session\":"
+              "\"s0\",\"cycles\":4294967296,\"proxies\":1048576,"
+              "\"bits\":\"00\"}\n");
+    // The payload decoder's own framing (fuzz_wire.cc): rows = 70 as a
+    // little-endian u16, cols = 1, then 32 hex digits.
+    writeFile(dir / "payload_direct.bin",
+              std::string("\x46\x00\x01", 3) +
+                  "00000000000000010000000000000020");
+}
+
+void
+makeModelCorpus(const fs::path &dir)
+{
+    ApolloModel model;
+    model.designName = "n1ish";
+    model.intercept = 0.8125;
+    model.proxyIds = {17, 4, 23001};
+    model.weights = {0.25f, -1.5f, 3.0517578e-05f};
+    std::ostringstream os;
+    model.save(os);
+    const std::string valid = os.str();
+    writeFile(dir / "valid.model", valid);
+    model.intercept = -0.0;
+    model.weights = {-0.0f, 1e-40f, 0.0f};
+    std::ostringstream edge;
+    model.save(edge);
+    writeFile(dir / "negzero_subnormal.model", edge.str());
+    writeFile(dir / "empty.model", "");
+    writeFile(dir / "bad_magic.model", "apollo-modle 1\nd\n0 0\n");
+    writeFile(dir / "bad_version.model", "apollo-model 2\nd\n0 0\n");
+    writeFile(dir / "trunc_header.model", "apollo-model 1\nd\n3\n");
+    writeFile(dir / "trunc_entries.model",
+              valid.substr(0, valid.rfind('\n', valid.size() - 2) + 1));
+    writeFile(dir / "huge_count.model",
+              "apollo-model 1\nd\n4611686018427387904 0\n1 0.5\n");
+    writeFile(dir / "nan_weight.model", "apollo-model 1\nd\n1 0\n3 nan\n");
+    writeFile(dir / "inf_weight.model", "apollo-model 1\nd\n1 0\n3 -inf\n");
+    writeFile(dir / "huge_weight.model",
+              "apollo-model 1\nd\n1 0\n3 1e99\n");
+    writeFile(dir / "nan_intercept.model",
+              "apollo-model 1\nd\n1 nan\n3 0.5\n");
+    writeFile(dir / "duplicate_id.model",
+              "apollo-model 1\nd\n2 0\n3 0.25\n3 0.5\n");
+}
+
 } // namespace
 
 int
@@ -176,10 +279,12 @@ main(int argc, char **argv)
         return 2;
     }
     const fs::path root(argv[1]);
-    for (const char *sub : {"aptr", "vcd", "dataset"})
+    for (const char *sub : {"aptr", "vcd", "dataset", "wire", "model"})
         fs::create_directories(root / sub);
     makeAptrCorpus(root / "aptr");
     makeVcdCorpus(root / "vcd");
     makeDatasetCorpus(root / "dataset");
+    makeWireCorpus(root / "wire");
+    makeModelCorpus(root / "model");
     return 0;
 }

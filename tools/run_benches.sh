@@ -2,9 +2,11 @@
 # Regenerate the perf trajectories at the repo root:
 #   BENCH_solver.json  — MCP solver fast-path layers
 #   BENCH_stream.json  — streaming pipeline vs batch (throughput + RSS)
+#                        and the per-cycle float kernel ablation
 #   BENCH_ga.json      — GA training-data pipeline (threads=1 and
 #                        hardware threads) vs the src/ref fitness pass
-#   BENCH_serve.json   — multi-session serving grid (sessions x threads)
+#   BENCH_serve.json   — multi-session serving grid (engine x threads x
+#                        sessions, per-chunk wait/compute percentiles)
 #   BENCH_control.json — closed-loop droop-mitigation lab Pareto sweep
 #   BENCH_uarch.json   — flat timing core vs the src/ref core loop
 # Usage: tools/run_benches.sh [--smoke] [extra bench args...]

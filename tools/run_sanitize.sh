@@ -47,7 +47,7 @@ cmake -B "$BUILD_DIR" -S . "${san_flags[@]}" "${obs_flags[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS" --target apollo_tests \
     --target apollo_oracle_tests \
     --target fuzz_aptr --target fuzz_vcd --target fuzz_dataset \
-    --target fuzz_packed
+    --target fuzz_packed --target fuzz_wire --target fuzz_model
 
 if [[ $# -gt 0 ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
@@ -67,11 +67,12 @@ elif [[ "$SANITIZER" == "tsan" ]]; then
     # gradient passes fan over the global pool (SolverBatchedDots), and
     # the row toggle kernel the lab's pool workers call every cycle
     # (activity_toggle_rows; ControlClosedLoop checks the loop against
-    # its per-proxy reference), and the label-order power kernel under
+    # its per-proxy reference), the label-order power kernel under
     # the dataset label pass's row blocks on the global pool
-    # (LabelAccumulator).
+    # (LabelAccumulator), and the per-cycle weighted-sum kernel that
+    # every float serve session's worker calls (WeightedSumKernels).
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R \
-        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool|solver_bit_dots|BitKernelAgreement|SolverBatchedDots|activity_toggle_rows|LabelAccumulator'
+        'ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|StreamInfer|StreamSinks|GaPipeline|ActivityEngine|ToggleKernels|UarchCore|Determinism|SegmentTable|EmulatorFlow|ShardStoreFormat|ShardedSolver|ShardedSelect|ControlClosedLoop|DroopLab|gen_fitness_batch|ThreadPool|solver_bit_dots|BitKernelAgreement|SolverBatchedDots|activity_toggle_rows|LabelAccumulator|WeightedSumKernels'
 else
     # Streaming + serving suites, the flat timing core's ring indexing
     # (UarchCore), plus the differential-oracle layer (label "oracle":
@@ -83,10 +84,11 @@ else
     # and batched-sweep tests (solver_bit_dots, BitKernel*,
     # SolverBatchedDots), the row toggle kernel oracle
     # (activity_toggle_rows), the closed loop against its per-proxy
-    # reference (ControlClosedLoop, inside Control), and the label-order
+    # reference (ControlClosedLoop, inside Control), the label-order
     # power kernel with its leakage floor (LabelAccumulator,
-    # PowerOracle).
-    suites='LabelAccumulator|PowerOracle|ThreadPool|gen_fitness_batch|solver_bit_dots|activity_toggle_rows|BitKernelAgreement|BitKernelBand|SolverBatchedDots|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
+    # PowerOracle), and every per-cycle weighted-sum kernel on outputs
+    # sized exactly to their rows (WeightedSumKernels).
+    suites='WeightedSumKernels|LabelAccumulator|PowerOracle|ThreadPool|gen_fitness_batch|solver_bit_dots|activity_toggle_rows|BitKernelAgreement|BitKernelBand|SolverBatchedDots|SliceRows|StreamInfer|StreamSinks|ProxyTraceFormat|VcdStreaming|LoaderStatus|PublicApi|EmulatorFlow|ActivityEngine|Determinism|SegmentTable|OracleEdges|OracleRegression|AptrStatus|VcdStatus|DatasetStatus|GaPipeline|GaConfigValidate|GenerateTrainingSet|ToggleKernels|UarchCore|DatasetBuilderAddFrames|MetricRegistry|TraceCollector|ObsEndToEnd|Droop|MultiCycle|Quantize|Control|ServeRegistry|ServeSessions|ServeDeterminism|ServeBackpressure|ServeCancel|ServeWire|ServeLoop|ShardStoreFormat|ShardedSolver|ShardedSelect|ShardCountViewMoments|ShardDatasetStreamWriter'
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'oracle|fuzz'
     # The same suites on the portable kernels: ASan does not check
