@@ -12,6 +12,9 @@
  * the batch OPM simulator (per-simulation counters + toggle-density
  * histogram).
  *
+ * Results go to BENCH_obs_overhead.json, headed by the host/build
+ * identity of bench/common's hostJson().
+ *
  * Usage: bench_obs_overhead [--smoke] [--reps=N] [--out=PATH]
  */
 
@@ -129,9 +132,10 @@ main(int argc, char **argv)
     const size_t q = 48;
     const uint32_t T = 32;
 
-    std::printf("bench_obs_overhead: n=%zu q=%zu T=%u reps=%d "
-                "(APOLLO_OBS=%d)%s\n",
-                n, q, T, reps, APOLLO_OBS, smoke ? " [smoke]" : "");
+    const std::string host = bench::hostJson();
+    std::printf("bench_obs_overhead: n=%zu q=%zu T=%u reps=%d%s\n"
+                "# host %s\n",
+                n, q, T, reps, smoke ? " [smoke]" : "", host.c_str());
 
     const BitColumnMatrix X = makeMatrix(n, q, 0x0b5eed);
     const ApolloModel model = makeModel(q);
@@ -160,9 +164,9 @@ main(int argc, char **argv)
 
     std::ofstream os(out);
     os << "{\n";
+    os << "  \"host\": " << host << ",\n";
     os << "  \"bench\": \"obs_overhead\",\n";
     os << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
-    os << "  \"apollo_obs\": " << APOLLO_OBS << ",\n";
     os << "  \"n\": " << n << ",\n  \"q\": " << q << ",\n  \"T\": " << T
        << ",\n";
     os << "  \"disabled_seconds\": " << disabled << ",\n";

@@ -83,8 +83,8 @@ void printHeader(const std::string &experiment_id,
 ApolloTrainResult trainApolloAtQ(const Context &ctx, size_t q);
 
 /**
- * Current obs counter values (empty when the build has APOLLO_OBS=0 or
- * the registry is runtime-disabled). Snapshot one at the start of the
+ * Current obs counter values (they do not move while the registry is
+ * runtime-disabled). Snapshot one at the start of the
  * measured region and pass it to obsDeltaJson() when writing results.
  */
 std::map<std::string, uint64_t> obsCounters();

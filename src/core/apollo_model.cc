@@ -62,6 +62,8 @@ ApolloModel::cycleSums(const BitColumnMatrix &X, Layout layout,
 void
 ApolloModel::save(std::ostream &os) const
 {
+    APOLLO_REQUIRE(designName.find('\n') == std::string::npos,
+                   "a model name cannot hold a newline");
     os << std::setprecision(std::numeric_limits<double>::max_digits10);
     os << "apollo-model 1\n";
     os << designName << "\n";
@@ -71,6 +73,9 @@ ApolloModel::save(std::ostream &os) const
 }
 
 namespace {
+
+/** Longest design-name line load() accepts. */
+constexpr size_t kMaxNameBytes = 4096;
 
 /** Parse a whole token as a finite number: ParseError names @p what. */
 template <typename T>
@@ -100,12 +105,18 @@ ApolloModel::load(std::istream &is)
     std::string magic;
     std::string version;
     if (!(is >> magic >> version) || magic != "apollo-model" ||
-        version != "1")
+        version != "1" || is.get() != '\n')
         return Status::parseError("not an apollo model file");
     ApolloModel model;
+    // The name is line 2, whole: it may be empty or hold spaces.
+    if (!std::getline(is, model.designName))
+        return Status::parseError("truncated model header");
+    if (model.designName.size() > kMaxNameBytes)
+        return Status::parseError("model name line is longer than ",
+                                  kMaxNameBytes, " bytes");
     std::string count_token;
     std::string intercept_token;
-    if (!(is >> model.designName >> count_token >> intercept_token))
+    if (!(is >> count_token >> intercept_token))
         return Status::parseError("truncated model header");
     size_t q = 0;
     if (Status st = parseToken(count_token, "proxy count", q); !st.ok())

@@ -76,12 +76,16 @@ struct ApolloModel
                    std::span<float> out) const;
 
     /**
-     * Serialize / parse a small text format. load() returns ParseError
-     * for a bad header, a stream holding fewer entries than it
-     * declares (without allocating for the declared count), an
-     * intercept or weight that is not a finite number (`nan`, `inf`,
-     * `1e99`), a malformed proxy id, or a repeated proxy id. Only
-     * whole tokens parse: `1e`, `0x1p3` and `+1` are malformed.
+     * Serialize / parse a small text format. Line 1 is
+     * `apollo-model 1`, line 2 the whole designName (empty or with
+     * spaces; save() throws FatalError for a name holding a newline),
+     * then the count, intercept and one `id weight` entry per proxy.
+     * load() returns ParseError for a bad header, a name line over
+     * 4,096 bytes, a stream holding fewer entries than it declares
+     * (without allocating for the declared count), an intercept or
+     * weight that is not a finite number (`nan`, `inf`, `1e99`), a
+     * malformed proxy id, or a repeated proxy id. Only whole tokens
+     * parse: `1e`, `0x1p3` and `+1` are malformed.
      */
     void save(std::ostream &os) const;
     static StatusOr<ApolloModel> load(std::istream &is);

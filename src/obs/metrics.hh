@@ -5,12 +5,9 @@
  * hot path, registered lazily by name under the
  * `apollo.<subsystem>.<metric>` scheme.
  *
- * Two gates keep the cost of an *unused* registry at a branch on a
- * relaxed atomic load:
- *  - compile time: the APOLLO_OBS macro (CMake option, default ON)
- *    compiles every instrumentation macro down to `(void)0` when OFF;
- *  - runtime: MetricRegistry::setEnabled(false) short-circuits the
- *    macros before any lookup or atomic RMW happens.
+ * One runtime gate keeps the cost of an *unused* registry at a branch
+ * on a relaxed atomic load: MetricRegistry::setEnabled(false)
+ * short-circuits the macros before any lookup or atomic RMW happens.
  *
  * Instrumentation sites use the APOLLO_COUNT / APOLLO_GAUGE_SET /
  * APOLLO_OBSERVE / APOLLO_SCOPED_TIMER macros below; metric names must
@@ -31,10 +28,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef APOLLO_OBS
-#define APOLLO_OBS 1
-#endif
 
 namespace apollo::obs {
 
@@ -245,9 +238,7 @@ class MetricRegistry
 #define APOLLO_OBS_CONCAT_IMPL(a, b) a##b
 #define APOLLO_OBS_CONCAT(a, b) APOLLO_OBS_CONCAT_IMPL(a, b)
 
-#if APOLLO_OBS
-
-/** True when metrics are compiled in and runtime-enabled. */
+/** True when metrics are runtime-enabled. */
 #define APOLLO_OBS_ON()                                                  \
     (::apollo::obs::MetricRegistry::instance().enabled())
 
@@ -290,15 +281,5 @@ class MetricRegistry
             ? &::apollo::obs::MetricRegistry::instance().histogram(     \
                   name)                                                  \
             : nullptr)
-
-#else // !APOLLO_OBS
-
-#define APOLLO_OBS_ON() (false)
-#define APOLLO_COUNT(name, n) ((void)0)
-#define APOLLO_GAUGE_SET(name, v) ((void)0)
-#define APOLLO_OBSERVE(name, v, bounds) ((void)0)
-#define APOLLO_SCOPED_TIMER(name) ((void)0)
-
-#endif // APOLLO_OBS
 
 #endif // APOLLO_OBS_METRICS_HH

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hh" // APOLLO_OBS + concat macros
+#include "obs/metrics.hh" // concat macros
 #include "util/status.hh"
 
 namespace apollo::obs {
@@ -129,13 +129,9 @@ class TraceSpan
 
 } // namespace apollo::obs
 
-#if APOLLO_OBS
 /** Trace the enclosing scope as a span named @p name (literal). */
 #define APOLLO_TRACE_SPAN(name)                                          \
     ::apollo::obs::TraceSpan APOLLO_OBS_CONCAT(apollo_obs_span_,         \
                                                __LINE__)(name)
-#else
-#define APOLLO_TRACE_SPAN(name) ((void)0)
-#endif
 
 #endif // APOLLO_OBS_TRACE_HH

@@ -21,12 +21,9 @@ using Clock = std::chrono::steady_clock;
 
 /** One chunk's queue wait and compute-plus-emit time, per engine. */
 void
-observeChunk([[maybe_unused]] bool quantized,
-             [[maybe_unused]] double wait_s,
-             [[maybe_unused]] double compute_s)
+observeChunk(bool quantized, double wait_s, double compute_s)
 {
-    [[maybe_unused]] const std::span<const double> bounds =
-        obs::fineLatencyBounds();
+    const std::span<const double> bounds = obs::fineLatencyBounds();
     if (quantized) {
         APOLLO_OBSERVE("apollo.serve.chunk_wait_seconds.quantized", wait_s,
                        bounds);

@@ -319,11 +319,6 @@ decodeBitsHex(std::string_view hex, size_t rows, size_t cols)
                                   " hex digits, ", rows, "x", cols,
                                   " needs ", expected);
     BitColumnMatrix bits(rows, cols);
-    // Bits past rows-1 in each column's last word must be zero — the
-    // compute kernels' zero-tail contract.
-    const uint64_t tail_mask =
-        (rows % 64 == 0) ? ~uint64_t{0}
-                         : ((uint64_t{1} << (rows % 64)) - 1);
     size_t i = 0;
     for (size_t c = 0; c < cols; ++c) {
         uint64_t *out = bits.colWordsMutable(c);
@@ -336,12 +331,13 @@ decodeBitsHex(std::string_view hex, size_t rows, size_t cols)
                         "non-hex digit in bits payload");
                 value = (value << 4) | static_cast<uint64_t>(nibble);
             }
-            if (w + 1 == wpc && (value & ~tail_mask) != 0)
-                return Status::parseError(
-                    "bits payload has set bits past row ", rows,
-                    " in column ", c);
             out[w] = value;
         }
+        // The compute kernels' zero-tail contract (util/bitvec.hh).
+        if (!tailWordsClean(out, wpc, rows))
+            return Status::parseError(
+                "bits payload has set bits past row ", rows,
+                " in column ", c);
     }
     return bits;
 }

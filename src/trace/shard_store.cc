@@ -174,14 +174,11 @@ ShardSetWriter::appendRaw(const uint64_t *words, uint64_t n_cols)
             cols_, " (", nextCol_, " written)");
     // Enforce the packed zero-tail rule at ingest so every file the
     // writer produces satisfies the word-at-a-time kernel contract.
-    if ((rows_ & 63) != 0) {
-        const uint64_t tail_mask = ~uint64_t{0} << (rows_ & 63);
-        for (uint64_t c = 0; c < n_cols; ++c) {
-            if ((words[(c + 1) * wordsPerCol_ - 1] & tail_mask) != 0)
-                return Status::invalidArgument(
-                    "appended column ", nextCol_ + c,
-                    " has nonzero bits past row ", rows_);
-        }
+    for (uint64_t c = 0; c < n_cols; ++c) {
+        if (!tailWordsClean(words + c * wordsPerCol_, wordsPerCol_, rows_))
+            return Status::invalidArgument(
+                "appended column ", nextCol_ + c,
+                " has nonzero bits past row ", rows_);
     }
     uint64_t done = 0;
     while (done < n_cols) {

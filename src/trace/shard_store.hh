@@ -185,10 +185,7 @@ class MappedShardSet
     bool
     columnTailClean(uint64_t col) const
     {
-        if ((rows_ & 63) == 0)
-            return true;
-        const uint64_t mask = ~uint64_t{0} << (rows_ & 63);
-        return (colWords(col)[wordsPerCol_ - 1] & mask) == 0;
+        return tailWordsClean(colWords(col), wordsPerCol_, rows_);
     }
 
   private:

@@ -235,17 +235,12 @@ ProxyTraceReader::readBlock()
     // windows, float axpy) trust that bits past `rows` in each
     // column's last word are zero — a forged tail word would count
     // phantom cycles or index past per-row accumulators.
-    if (rows & 63) {
-        const uint64_t tail_mask =
-            ~uint64_t{0} << (rows & 63);
-        const size_t last = block_.wordsPerCol() - 1;
-        for (size_t c = 0; c < q_; ++c) {
-            if (block_.colWords(c)[last] & tail_mask)
-                return Status::parseError(
-                    "proxy trace block declares ", rows,
-                    " rows but sets bits past the last row in "
-                    "column ", c);
-        }
+    for (size_t c = 0; c < q_; ++c) {
+        if (!tailWordsClean(block_.colWords(c), block_.wordsPerCol(),
+                            rows))
+            return Status::parseError(
+                "proxy trace block declares ", rows,
+                " rows but sets bits past the last row in column ", c);
     }
     blockPos_ = 0;
     return Status::okStatus();
@@ -321,7 +316,8 @@ VcdChunkReader::readHeader()
 }
 
 StatusOr<size_t>
-VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
+VcdChunkReader::nextSetBits(
+    size_t max_rows, std::vector<std::pair<uint32_t, uint32_t>> &set_bits)
 {
     if (max_rows == 0)
         return Status::invalidArgument("chunk size must be positive");
@@ -330,39 +326,22 @@ VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
             return s;
     }
 
-    // (chunk-row, column) pairs accumulated for this chunk.
-    std::vector<std::pair<uint32_t, uint32_t>> rows_set;
-    const uint64_t first = nextRow_;
     size_t produced = 0;
-
-    // Emit finalized cycles up to @p boundary (exclusive) or until the
-    // chunk is full.
-    const auto emit_until = [&](uint64_t boundary) {
-        while (nextRow_ < boundary && produced < max_rows) {
-            if (completedValid_ && nextRow_ == completedTs_) {
-                for (uint32_t col : completedFlips_)
-                    rows_set.emplace_back(
-                        static_cast<uint32_t>(produced), col);
-                completedFlips_.clear();
-                completedValid_ = false;
-            }
-            nextRow_++;
-            produced++;
-        }
-    };
-
     std::string token;
-    while (produced < max_rows) {
-        if (atEof_) {
-            emit_until(curTs_);
+    for (;;) {
+        // Rows before curTs_ hold no flips left to read: serve them in
+        // one step, up to the chunk's end.
+        const uint64_t skip =
+            std::min<uint64_t>(curTs_ - nextRow_, max_rows - produced);
+        nextRow_ += skip;
+        produced += skip;
+        if (produced == max_rows || atEof_)
             break;
-        }
         if (!(is_ >> token)) {
             // End of stream: the trace length is the last timestamp
-            // seen; flips at that timestamp are dropped (parseVcd
-            // semantics — VcdWriter::finish() emits a final "#N").
+            // seen; flips at that timestamp are dropped
+            // (VcdWriter::finish() emits a final "#N").
             atEof_ = true;
-            pendingFlips_.clear();
             continue;
         }
         if (token == "$dumpvars") {
@@ -379,20 +358,21 @@ VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
             if (ts < curTs_)
                 return Status::parseError(
                     "non-monotonic VCD timestamp ", ts, " after ",
-                    curTs_, " (streaming reader requires ordered "
-                            "timestamps)");
+                    curTs_);
             if (ts > kMaxVcdCycles)
                 return Status::parseError("implausible VCD timestamp ",
                                           ts, " (limit ",
                                           kMaxVcdCycles, ")");
             if (ts > curTs_) {
-                if (!pendingFlips_.empty()) {
-                    completedTs_ = curTs_;
-                    completedFlips_.swap(pendingFlips_);
-                    completedValid_ = true;
-                }
+                // Row curTs_ is complete; every row before it has been
+                // served, so the chunk has room for it.
+                for (uint32_t col : pendingFlips_)
+                    set_bits.emplace_back(static_cast<uint32_t>(produced),
+                                          col);
+                pendingFlips_.clear();
+                nextRow_++;
+                produced++;
                 curTs_ = ts;
-                emit_until(curTs_);
             }
         } else if (token[0] == '0' || token[0] == '1') {
             const std::string id = token.substr(1);
@@ -407,12 +387,22 @@ VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
         }
         // Other tokens (comments, unknown directives) are skipped.
     }
-
-    chunk.firstCycle = first;
-    chunk.bits.reset(produced, names_.size());
-    for (const auto &[row, col] : rows_set)
-        chunk.bits.setBit(row, col);
     return produced;
+}
+
+StatusOr<size_t>
+VcdChunkReader::next(size_t max_rows, ProxyChunk &chunk)
+{
+    const uint64_t first = nextRow_;
+    std::vector<std::pair<uint32_t, uint32_t>> set_bits;
+    StatusOr<size_t> got = nextSetBits(max_rows, set_bits);
+    if (!got.ok())
+        return got;
+    chunk.firstCycle = first;
+    chunk.bits.reset(*got, names_.size());
+    for (const auto &[row, col] : set_bits)
+        chunk.bits.setBit(row, col);
+    return got;
 }
 
 } // namespace apollo

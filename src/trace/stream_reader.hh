@@ -38,6 +38,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "activity/activity_engine.hh"
@@ -226,11 +227,13 @@ class ProxyTraceFileReader : public ProxyChunkReader
 
 /**
  * Incremental VCD ingestion (the VcdWriter subset of the grammar:
- * 1-bit wires, monotonic timestamps). A toggle is recorded at cycle c
- * when a signal's value flips at timestamp c outside $dumpvars;
- * matching parseVcd(), the trace length is the last timestamp seen, so
- * flips at the final timestamp are dropped. Memory is bounded by one
- * chunk regardless of trace length.
+ * 1-bit wires with distinct ids, monotonic timestamps), and the one VCD
+ * grammar: tryParseVcd() drains this reader. A toggle is recorded at
+ * cycle c when a signal's value flips at timestamp c outside
+ * $dumpvars; the trace length is the last timestamp seen, so flips at
+ * the final timestamp are dropped. Memory is bounded by one chunk
+ * regardless of trace length, and a run of rows without flips costs
+ * one step, not one per row.
  */
 class VcdChunkReader : public ProxyChunkReader
 {
@@ -245,15 +248,21 @@ class VcdChunkReader : public ProxyChunkReader
 
     StatusOr<size_t> next(size_t max_rows, ProxyChunk &chunk) override;
 
+    /**
+     * next() without the dense chunk: serves the same rows and appends
+     * the (row, column) of each of their toggles to @p set_bits, rows
+     * counted from the first row served by this call.
+     */
+    StatusOr<size_t>
+    nextSetBits(size_t max_rows,
+                std::vector<std::pair<uint32_t, uint32_t>> &set_bits);
+
   private:
     std::istream &is_;
     std::vector<std::string> names_;
     std::map<std::string, size_t> idToIndex_;
     std::vector<uint8_t> value_;
     std::vector<uint32_t> pendingFlips_; ///< flips at cycle curTs_
-    std::vector<uint32_t> completedFlips_; ///< flips of a finished cycle
-    uint64_t completedTs_ = 0;
-    bool completedValid_ = false;
     uint64_t curTs_ = 0;    ///< timestamp whose flips are being read
     uint64_t nextRow_ = 0;  ///< next cycle index to emit
     bool headerDone_ = false;

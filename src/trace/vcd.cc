@@ -1,10 +1,9 @@
 #include "trace/vcd.hh"
 
 #include <istream>
-#include <map>
 #include <ostream>
-#include <sstream>
 
+#include "trace/stream_reader.hh"
 #include "util/logging.hh"
 
 namespace apollo {
@@ -87,83 +86,28 @@ VcdWriter::finish()
 StatusOr<VcdTrace>
 tryParseVcd(std::istream &is)
 {
-    std::vector<std::string> names;
-    std::map<std::string, size_t> id_to_index;
-    std::string token;
-
-    // Header.
-    while (is >> token) {
-        if (token == "$var") {
-            std::string type, width, id, name;
-            if (!(is >> type >> width >> id >> name))
-                return Status::ioError("truncated VCD $var");
-            id_to_index[id] = names.size();
-            names.push_back(name);
-            // consume "$end"
-            while (is >> token && token != "$end") {}
-        } else if (token == "$enddefinitions") {
-            while (is >> token && token != "$end") {}
-            break;
-        }
-    }
-    if (names.empty())
-        return Status::parseError("VCD has no $var declarations");
-
-    // Value changes. First pass into a sparse (cycle, index) list.
-    std::vector<std::pair<uint64_t, size_t>> flips;
-    std::vector<uint8_t> value(names.size(), 0);
-    uint64_t cycle = 0;
-    uint64_t max_cycle = 0;
-    bool in_dumpvars = false;
-
-    while (is >> token) {
-        if (token == "$dumpvars") {
-            in_dumpvars = true;
-            continue;
-        }
-        if (token == "$end") {
-            in_dumpvars = false;
-            continue;
-        }
-        if (token[0] == '#') {
-            try {
-                cycle = std::stoull(token.substr(1));
-            } catch (...) {
-                return Status::parseError("bad VCD timestamp ", token);
-            }
-            if (cycle > kMaxVcdCycles)
-                return Status::parseError("implausible VCD timestamp ",
-                                          cycle, " (limit ",
-                                          kMaxVcdCycles, ")");
-            max_cycle = std::max(max_cycle, cycle);
-            continue;
-        }
-        if (token[0] == '0' || token[0] == '1') {
-            const std::string id = token.substr(1);
-            auto it = id_to_index.find(id);
-            if (it == id_to_index.end())
-                return Status::parseError("unknown VCD id ", id);
-            const uint8_t v = token[0] == '1' ? 1 : 0;
-            if (!in_dumpvars && v != value[it->second])
-                flips.emplace_back(cycle, it->second);
-            value[it->second] = v;
-        }
-    }
+    VcdChunkReader reader(is);
+    std::vector<std::pair<uint32_t, uint32_t>> set_bits;
+    // No trace is longer than kMaxVcdCycles rows, so a call that may
+    // serve one row more reads the dump to its end.
+    const StatusOr<size_t> read =
+        reader.nextSetBits(kMaxVcdCycles + 1, set_bits);
+    if (!read.ok())
+        return read.status();
+    const uint64_t cycles = *read;
 
     VcdTrace trace;
-    trace.names = std::move(names);
+    trace.names = reader.names();
     // Bound the full-matrix allocation: the streaming reader is the
     // supported path for dumps beyond in-memory size.
-    if (max_cycle * trace.names.size() > (uint64_t{1} << 32))
+    if (cycles * trace.names.size() > (uint64_t{1} << 32))
         return Status::parseError(
-            "VCD too large for in-memory parse (", max_cycle,
+            "VCD too large for in-memory parse (", cycles,
             " cycles x ", trace.names.size(),
             " signals); use VcdChunkReader");
-    trace.toggles.reset(max_cycle, trace.names.size());
-    for (const auto &[flip_cycle, index] : flips) {
-        if (flip_cycle < max_cycle)
-            trace.toggles.setBit(flip_cycle, index);
-    }
+    trace.toggles.reset(cycles, trace.names.size());
+    for (const auto &[row, col] : set_bits)
+        trace.toggles.setBit(row, col);
     return trace;
 }
 

@@ -61,10 +61,10 @@ class VcdWriter
 };
 
 /**
- * Largest timestamp either VCD reader accepts. Timestamps come from
- * untrusted input and directly size the reconstructed trace (the batch
- * parser allocates max_cycle x signals toggle bits; the streaming
- * reader synthesizes one row per cycle), so an implausible declared
+ * Largest timestamp VcdChunkReader, and so tryParseVcd, accepts.
+ * Timestamps come from untrusted input and set the trace length
+ * (tryParseVcd allocates length x signals toggle bits; a streaming
+ * consumer receives one row per cycle), so an implausible declared
  * length is a ParseError, not an allocation attempt.
  */
 inline constexpr uint64_t kMaxVcdCycles = uint64_t{1} << 30;
@@ -79,8 +79,10 @@ struct VcdTrace
 
 /**
  * Parse a VCD produced by VcdWriter (subset of the VCD grammar),
- * reporting malformed input as a Status value. For bounded-memory
- * ingestion of long dumps use trace/stream_reader.hh's VcdChunkReader.
+ * reporting malformed input as a Status value. Drains a VcdChunkReader
+ * (trace/stream_reader.hh), so both accept the same dumps, and then
+ * allocates the toggle matrix once; a trace over 2^32 toggle bits is a
+ * ParseError, for which the reader itself is the bounded-memory path.
  */
 StatusOr<VcdTrace> tryParseVcd(std::istream &is);
 

@@ -30,15 +30,24 @@ namespace apollo {
  * valid bits keeps every bit at position >= n in its last word zero.
  * All word-at-a-time kernels (bitvec_kernels, popcnt_kernels) rely on
  * it, producers (set()/setBit(), sliceRowsInto, the toggle-column
- * generator) maintain it, and the trace decoder rejects input that
- * violates it. This helper clears the tail of a word array holding
- * @p nbits valid bits.
+ * generator) maintain it, and every decoder of untrusted packed words
+ * (APTR, APDS, APSH, the serve wire) rejects input that violates it
+ * (tailWordsClean). This helper clears the tail of a word array
+ * holding @p nbits valid bits.
  */
 inline void
 maskTailWords(uint64_t *words, size_t nwords, size_t nbits)
 {
     if (nwords && (nbits & 63))
         words[nwords - 1] &= (uint64_t{1} << (nbits & 63)) - 1;
+}
+
+/** True when a word array holding @p nbits valid bits obeys the rule. */
+inline bool
+tailWordsClean(const uint64_t *words, size_t nwords, size_t nbits)
+{
+    return !nwords || !(nbits & 63) ||
+           (words[nwords - 1] >> (nbits & 63)) == 0;
 }
 
 /** A resizable packed bit vector. */

@@ -1,11 +1,12 @@
 /**
  * @file
- * The one rule for the process-wide kernel overrides (APOLLO_NO_AVX512,
- * APOLLO_NO_AVX2) that every runtime-dispatched kernel family reads:
- * util/bitvec_kernels, util/popcnt_kernels and activity/toggle_kernels.
- * An override is set when its value is non-empty and does not start
- * with '0' — "1", "yes", "true" and "2" all disable; unset, "" and "0"
- * do not.
+ * The one process-wide kernel override, APOLLO_NO_AVX512, and the rule
+ * every runtime-dispatched kernel family reads it by: util/bitvec_kernels,
+ * util/popcnt_kernels, activity/toggle_kernels and
+ * power/label_accumulator. When set, each family dispatches its portable
+ * entry (popcount its scalar table). The override is set when its value
+ * is non-empty and does not start with '0' — "1", "yes", "true" and "2"
+ * all count; unset, "" and "0" do not.
  */
 
 #ifndef APOLLO_UTIL_KERNEL_ENV_HH

@@ -372,9 +372,11 @@ Impl
 detectBestImpl()
 {
 #if APOLLO_HAVE_X86_POPCNT_KERNELS
-    if (!kernelOverrideSet("APOLLO_NO_AVX512") && cpuHasAvx512Vpopcntdq())
+    if (kernelOverrideSet("APOLLO_NO_AVX512"))
+        return Impl::Scalar;
+    if (cpuHasAvx512Vpopcntdq())
         return Impl::Avx512;
-    if (!kernelOverrideSet("APOLLO_NO_AVX2") && cpuHasAvx2Popcnt())
+    if (cpuHasAvx2Popcnt())
         return Impl::Avx2;
 #endif
     return Impl::Scalar;

@@ -22,9 +22,9 @@
  * zero. countRange() masks its own edges and is safe regardless.
  *
  * Dispatch: kernels() returns the best table the CPU supports,
- * detected once per process. APOLLO_NO_AVX512 hides the AVX-512
- * table, APOLLO_NO_AVX2 hides AVX2 as well — the override rule of
- * util/kernel_env.hh that every kernel family shares.
+ * detected once per process. APOLLO_NO_AVX512 selects the scalar
+ * table, as it selects the portable entry of every kernel family
+ * (util/kernel_env.hh).
  * Per-implementation tables stay reachable through implKernels() for
  * the bench ablation and equivalence tests.
  */

@@ -270,6 +270,61 @@ TEST(ApolloModel, SaveLoadKeepsEveryFiniteWeightBitForBit)
             << q;
 }
 
+TEST(ApolloModel, NamesWithSpacesTabsOrNothingSurviveSaveAndLoad)
+{
+    for (const char *name : {"", "two words", "tab\there", " padded "}) {
+        ApolloModel model;
+        model.designName = name;
+        model.intercept = 0.5;
+        model.proxyIds = {3, 1};
+        model.weights = {0.25f, -1.0f};
+        std::stringstream ss;
+        model.save(ss);
+        StatusOr<ApolloModel> read = ApolloModel::load(ss);
+        ASSERT_TRUE(read.ok())
+            << '"' << name << "\": " << read.status().toString();
+        EXPECT_EQ(read->designName, name);
+        EXPECT_EQ(read->proxyIds, model.proxyIds);
+        EXPECT_EQ(read->weights, model.weights);
+        EXPECT_EQ(read->intercept, model.intercept);
+    }
+}
+
+TEST(ApolloModel, NameLineIsBoundedAndSaveRejectsANewline)
+{
+    for (size_t len : {size_t{4096}, size_t{4097}}) {
+        std::istringstream is("apollo-model 1\n" + std::string(len, 'n') +
+                              "\n1 0\n3 0.5\n");
+        const StatusOr<ApolloModel> model = ApolloModel::load(is);
+        if (len == 4096) {
+            ASSERT_TRUE(model.ok()) << model.status().toString();
+            EXPECT_EQ(model->designName, std::string(len, 'n'));
+            continue;
+        }
+        ASSERT_FALSE(model.ok());
+        EXPECT_EQ(model.status().code(), StatusCode::ParseError);
+        EXPECT_NE(model.status().message().find("longer than 4096 bytes"),
+                  std::string::npos)
+            << model.status().toString();
+    }
+
+    ApolloModel model;
+    model.designName = "two\nlines";
+    std::stringstream ss;
+    EXPECT_THROW(model.save(ss), FatalError);
+}
+
+TEST(ApolloModel, LoadsTheLayoutSaveHasAlwaysWritten)
+{
+    std::istringstream is("apollo-model 1\nn1ish\n2 0.5\n7 0.25\n3 -1\n");
+    const StatusOr<ApolloModel> model = ApolloModel::load(is);
+    ASSERT_TRUE(model.ok()) << model.status().toString();
+    EXPECT_EQ(model->designName, "n1ish");
+    EXPECT_EQ(model->intercept, 0.5);
+    EXPECT_EQ(model->proxyIds, (std::vector<uint32_t>{7, 3}));
+    EXPECT_EQ(model->weights, (std::vector<float>{0.25f, -1.0f}));
+}
+
 TEST(RelaxProxySet, WorksOnArbitrarySets)
 {
     const auto &fx = fixture();

@@ -177,7 +177,6 @@ TEST(MetricRegistry, ScopedTimerObservesSeconds)
     EXPECT_GE(h.sum(), 0.0);
 }
 
-#if APOLLO_OBS
 TEST(MetricRegistry, RuntimeDisableGatesTheMacros)
 {
     obs::MetricRegistry &reg = obs::MetricRegistry::instance();
@@ -195,7 +194,6 @@ TEST(MetricRegistry, RuntimeDisableGatesTheMacros)
 
     reg.setEnabled(was_enabled);
 }
-#endif
 
 TEST(TraceCollector, SpansProduceLoadableChromeTraceJson)
 {
@@ -249,7 +247,6 @@ TEST(TraceCollector, DisabledSpansRecordNothing)
     tc.setEnabled(was_enabled);
 }
 
-#if APOLLO_OBS
 /**
  * One in-process pipeline pass over every instrumented subsystem:
  * GA training-data generation (ga + activity), model training
@@ -389,7 +386,6 @@ TEST(ObsEndToEnd, PipelineRunPopulatesAllSubsystemMetrics)
         EXPECT_NE(trace_json.find(span), std::string::npos)
             << "trace lacks span " << span;
 }
-#endif // APOLLO_OBS
 
 } // namespace
 } // namespace apollo

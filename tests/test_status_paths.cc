@@ -244,23 +244,40 @@ TEST(VcdStatus, BadTimestampIsParseError)
     }
 }
 
-TEST(VcdStatus, NonMonotonicTimestampIsParseErrorWhenStreaming)
+TEST(VcdStatus, NonMonotonicTimestampIsParseError)
 {
     const std::string body =
         std::string(kVcdHeader) + "#5\n1!\n#2\n0!\n";
-    std::istringstream is(body);
-    VcdChunkReader reader(is);
-    EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+    {
+        std::istringstream is(body);
+        StatusOr<VcdTrace> got = tryParseVcd(is);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), StatusCode::ParseError);
+    }
+    {
+        std::istringstream is(body);
+        VcdChunkReader reader(is);
+        EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+    }
 }
 
-TEST(VcdStatus, DuplicateIdIsParseErrorWhenStreaming)
+TEST(VcdStatus, DuplicateIdIsParseError)
 {
+    // A repeated id would leave one of its columns without toggles.
     const std::string body = "$var wire 1 ! sig_a $end\n"
                              "$var wire 1 ! sig_b $end\n"
-                             "$enddefinitions $end\n#0\n";
-    std::istringstream is(body);
-    VcdChunkReader reader(is);
-    EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+                             "$enddefinitions $end\n#0\n1!\n#1\n";
+    {
+        std::istringstream is(body);
+        StatusOr<VcdTrace> got = tryParseVcd(is);
+        ASSERT_FALSE(got.ok());
+        EXPECT_EQ(got.status().code(), StatusCode::ParseError);
+    }
+    {
+        std::istringstream is(body);
+        VcdChunkReader reader(is);
+        EXPECT_EQ(drain(reader).code(), StatusCode::ParseError);
+    }
 }
 
 TEST(VcdStatus, MidTokenBodyEofIsCleanEndOfTrace)

@@ -445,6 +445,54 @@ TEST(VcdStreaming, MatchesBatchParser)
                 << "r=" << r << " c=" << c;
 }
 
+/**
+ * A chunk that ends inside a timestamp gap must still serve the flips
+ * of the row before the gap: the reader once let the next timestamp
+ * overwrite them while they waited for the following chunk.
+ */
+TEST(VcdStreaming, ChunkEndInsideATimestampGapKeepsEveryToggle)
+{
+    const std::string vcd = "$var wire 1 ! sig_a $end\n"
+                            "$var wire 1 \" sig_b $end\n"
+                            "$enddefinitions $end\n"
+                            "#0\n1!\n#5\n0!\n#6\n1!\n1\"\n#20\n0!\n#21\n";
+    const std::vector<std::pair<size_t, size_t>> expected = {
+        {0, 0}, {5, 0}, {6, 0}, {6, 1}, {20, 0}};
+
+    std::istringstream batch_is(vcd);
+    const StatusOr<VcdTrace> batch = tryParseVcd(batch_is);
+    ASSERT_TRUE(batch.ok()) << batch.status().toString();
+    ASSERT_EQ(batch->toggles.rows(), 21u);
+    std::vector<std::pair<size_t, size_t>> batch_bits;
+    for (size_t r = 0; r < 21; ++r)
+        for (size_t c = 0; c < 2; ++c)
+            if (batch->toggles.get(r, c))
+                batch_bits.emplace_back(r, c);
+    EXPECT_EQ(batch_bits, expected);
+
+    for (size_t chunk_rows : {1, 2, 3, 4, 7, 64}) {
+        std::istringstream is(vcd);
+        VcdChunkReader reader(is);
+        ProxyChunk chunk;
+        size_t rows = 0;
+        std::vector<std::pair<size_t, size_t>> bits;
+        for (;;) {
+            StatusOr<size_t> got = reader.next(chunk_rows, chunk);
+            ASSERT_TRUE(got.ok()) << got.status().toString();
+            if (*got == 0)
+                break;
+            ASSERT_EQ(chunk.firstCycle, rows);
+            for (size_t r = 0; r < *got; ++r)
+                for (size_t c = 0; c < chunk.proxies(); ++c)
+                    if (chunk.bits.get(r, c))
+                        bits.emplace_back(rows + r, c);
+            rows += *got;
+        }
+        EXPECT_EQ(rows, 21u) << "chunk_rows=" << chunk_rows;
+        EXPECT_EQ(bits, expected) << "chunk_rows=" << chunk_rows;
+    }
+}
+
 TEST(VcdStreaming, RejectsMalformedInput)
 {
     ProxyChunk chunk;

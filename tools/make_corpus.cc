@@ -1,11 +1,12 @@
 /**
  * @file
  * Regenerates the checked-in fuzz seed corpus (tests/corpus/): small
- * valid APTR / VCD / APDS artifacts, serve wire request lines and
- * model files, plus systematically malformed variants (truncations at
- * interesting offsets, bad magics, absurd declared sizes, forged tail
- * bits, non-finite weights). Deterministic — running it twice produces identical
- * bytes, so the corpus only changes when the formats do.
+ * valid APTR / VCD / APDS / APSH artifacts, serve wire request lines
+ * and model files, plus systematically malformed variants
+ * (truncations at interesting offsets, bad magics, absurd declared
+ * sizes, forged tail bits, non-finite weights). Deterministic —
+ * running it twice produces identical bytes, so the corpus only
+ * changes when the formats do.
  *
  * Usage: make_corpus <output-dir>
  */
@@ -21,6 +22,7 @@
 #include "serve/wire.hh"
 #include "trace/dataset.hh"
 #include "trace/dataset_io.hh"
+#include "trace/shard_store.hh"
 #include "trace/stream_reader.hh"
 #include "util/bitvec.hh"
 #include "util/rng.hh"
@@ -170,6 +172,51 @@ makeDatasetCorpus(const fs::path &dir)
 }
 
 void
+makeShardCorpus(const fs::path &dir)
+{
+    Xoshiro256StarStar rng(hashMix(0xa95b));
+    BitColumnMatrix X(37, 3);
+    for (size_t c = 0; c < X.cols(); ++c)
+        for (size_t r = 0; r < X.rows(); ++r)
+            if (rng.nextDouble() < 0.3)
+                X.setBit(r, c);
+    // The real writer makes the valid file, so the corpus follows the
+    // format.
+    const std::string base = (dir / "make_corpus_tmp").string();
+    saveShardedMatrix(base, X, 1, X.cols()).orFatal();
+    std::string valid;
+    {
+        std::ifstream is(shardPath(base, 0), std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        valid = os.str();
+    }
+    fs::remove(shardPath(base, 0));
+    writeFile(dir / "valid_one_shard.apsh", valid);
+
+    // Header: "APSH" u32 version u64 rows u64 colsTotal u32 shardIndex
+    // u32 shardCount u64 firstCol u64 cols, then the payload at 48.
+    writeFile(dir / "bad_magic.apsh", "XPSH" + valid.substr(4));
+    const uint32_t version = 2;
+    writeFile(dir / "bad_version.apsh", patch(valid, 4, &version, 4));
+    writeFile(dir / "trunc_header.apsh", valid.substr(0, 20));
+    writeFile(dir / "payload_word_short.apsh",
+              valid.substr(0, valid.size() - 8));
+    writeFile(dir / "payload_word_long.apsh",
+              valid + std::string(8, '\0'));
+    const uint64_t max_rows = kShardMaxRows;
+    writeFile(dir / "rows_past_max.apsh", patch(valid, 8, &max_rows, 8));
+    const uint64_t max_cols = kShardMaxCols;
+    writeFile(dir / "cols_past_max.apsh", patch(valid, 16, &max_cols, 8));
+    const uint32_t index = 1;
+    writeFile(dir / "index_past_count.apsh", patch(valid, 24, &index, 4));
+    // rows = 37: an all-ones column 0 word sets bits 37..63 past the
+    // last row, which the zero-tail rule forbids.
+    const uint64_t forged_word = ~uint64_t{0};
+    writeFile(dir / "forged_tail.apsh", patch(valid, 48, &forged_word, 8));
+}
+
+void
 makeWireCorpus(const fs::path &dir)
 {
     writeFile(dir / "list_models.ndjson",
@@ -251,6 +298,14 @@ makeModelCorpus(const fs::path &dir)
     std::ostringstream edge;
     model.save(edge);
     writeFile(dir / "negzero_subnormal.model", edge.str());
+    for (const auto &[file, name] :
+         {std::pair{"empty_name.model", ""},
+          std::pair{"spaced_name.model", "two words\tand a tab"}}) {
+        model.designName = name;
+        std::ostringstream named;
+        model.save(named);
+        writeFile(dir / file, named.str());
+    }
     writeFile(dir / "empty.model", "");
     writeFile(dir / "bad_magic.model", "apollo-modle 1\nd\n0 0\n");
     writeFile(dir / "bad_version.model", "apollo-model 2\nd\n0 0\n");
@@ -279,12 +334,14 @@ main(int argc, char **argv)
         return 2;
     }
     const fs::path root(argv[1]);
-    for (const char *sub : {"aptr", "vcd", "dataset", "wire", "model"})
+    for (const char *sub :
+         {"aptr", "vcd", "dataset", "wire", "model", "shard"})
         fs::create_directories(root / sub);
     makeAptrCorpus(root / "aptr");
     makeVcdCorpus(root / "vcd");
     makeDatasetCorpus(root / "dataset");
     makeWireCorpus(root / "wire");
     makeModelCorpus(root / "model");
+    makeShardCorpus(root / "shard");
     return 0;
 }

@@ -9,29 +9,19 @@
 #                        sessions, per-chunk wait/compute percentiles)
 #   BENCH_control.json — closed-loop droop-mitigation lab Pareto sweep
 #   BENCH_uarch.json   — flat timing core vs the src/ref core loop
+#   BENCH_obs_overhead.json — idle instrumentation vs the runtime gate
 # Usage: tools/run_benches.sh [--smoke] [extra bench args...]
 #
 # Environment:
 #   BUILD_DIR   build tree to use (default: build)
 #   JOBS        parallel compile jobs (default: 4)
-#   APOLLO_NATIVE=1 configures the build with -march=native kernels.
-#   APOLLO_OBS_OFF_DIR  compiled-out observability tree (default:
-#               build-obs-off). Both observability configurations are
-#               built every run; the OFF tree runs the solver bench in
-#               smoke mode to prove the instrumented hot paths still
-#               compile and run with APOLLO_OBS=0.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 JOBS=${JOBS:-4}
 
-cmake_flags=()
-if [[ "${APOLLO_NATIVE:-0}" == "1" ]]; then
-    cmake_flags+=(-DAPOLLO_NATIVE=ON)
-fi
-
-cmake -B "$BUILD_DIR" -S . "${cmake_flags[@]}"
+cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_perf_solver \
     --target bench_stream_infer --target bench_perf_ga \
     --target bench_obs_overhead --target bench_serve \
@@ -81,15 +71,3 @@ echo "perf.droop_lab guard passed"
 # VPOPCNTQ all bit-identical to the default dispatch).
 (cd "$BUILD_DIR" && ctest -R 'perf\.stream_bitparallel' --output-on-failure)
 echo "perf.stream_bitparallel guard passed"
-
-# Cross-check the compiled-out configuration: the same hot paths must
-# build and run with every APOLLO_COUNT/SPAN macro expanded to nothing.
-OBS_OFF_DIR=${APOLLO_OBS_OFF_DIR:-build-obs-off}
-cmake -B "$OBS_OFF_DIR" -S . "${cmake_flags[@]}" -DAPOLLO_OBS=OFF
-cmake --build "$OBS_OFF_DIR" -j "$JOBS" --target bench_perf_solver \
-    --target bench_obs_overhead
-"$OBS_OFF_DIR"/bench/bench_perf_solver --smoke \
-    --out="$OBS_OFF_DIR"/BENCH_solver_obs_off.json
-"$OBS_OFF_DIR"/bench/bench_obs_overhead --smoke \
-    --out="$OBS_OFF_DIR"/BENCH_obs_overhead_off.json
-echo "APOLLO_OBS=OFF configuration builds and runs clean"

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Time-boxed fuzzing of the untrusted-input parsers (APTR proxy
 # traces, VCD dumps, dataset streams, packed chunk payloads, serve wire
-# request lines, model files). Each target replays the checked
-# in corpus in tests/corpus/<target>/ and then runs seeded random
-# mutations until its time budget expires; any crash, sanitizer
+# request lines, model files, APSH column shards). Each target replays
+# the checked in corpus in tests/corpus/<target>/ and then runs seeded
+# random mutations until its time budget expires; any crash, sanitizer
 # report, or uncaught exception aborts with a FUZZ-BUG line carrying
 # the replay seed (docs/INTERNALS.md section 8).
 #
 # Usage: tools/run_fuzz.sh [seconds-per-target] [target...]
 #   tools/run_fuzz.sh              # 60s each: aptr, vcd, dataset,
-#                                  # packed, wire, model
+#                                  # packed, wire, model, shard
 #   tools/run_fuzz.sh 300 vcd      # 5 minutes on the VCD parser only
 #
 # Environment:
@@ -25,7 +25,7 @@ SECONDS_PER_TARGET=${1:-60}
 JOBS=${JOBS:-4}
 shift || true
 TARGETS=("$@")
-[[ ${#TARGETS[@]} -gt 0 ]] || TARGETS=(aptr vcd dataset packed wire model)
+[[ ${#TARGETS[@]} -gt 0 ]] || TARGETS=(aptr vcd dataset packed wire model shard)
 
 cmake -B "$BUILD_DIR" -S . -DAPOLLO_SANITIZE=ON
 for t in "${TARGETS[@]}"; do

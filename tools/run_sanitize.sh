@@ -20,10 +20,6 @@
 #   BUILD_DIR   sanitizer build tree (default: build-${SANITIZER})
 #   JOBS        parallel compile jobs (default: 4; each ASan compiler
 #               takes well over 100 MB)
-#   APOLLO_OBS=OFF  sanitize the compiled-out observability
-#               configuration instead (tree: ${BUILD_DIR}-obs-off),
-#               proving the instrumented hot paths are clean in both
-#               builds.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,17 +33,12 @@ esac
 BUILD_DIR=${BUILD_DIR:-build-${SANITIZER}}
 JOBS=${JOBS:-4}
 
-obs_flags=()
-if [[ "${APOLLO_OBS:-ON}" == "OFF" ]]; then
-    BUILD_DIR="${BUILD_DIR}-obs-off"
-    obs_flags+=(-DAPOLLO_OBS=OFF)
-fi
-
-cmake -B "$BUILD_DIR" -S . "${san_flags[@]}" "${obs_flags[@]}"
+cmake -B "$BUILD_DIR" -S . "${san_flags[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS" --target apollo_tests \
     --target apollo_oracle_tests \
     --target fuzz_aptr --target fuzz_vcd --target fuzz_dataset \
-    --target fuzz_packed --target fuzz_wire --target fuzz_model
+    --target fuzz_packed --target fuzz_wire --target fuzz_model \
+    --target fuzz_shard
 
 if [[ $# -gt 0 ]]; then
     ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
@@ -95,7 +86,7 @@ else
     # AVX-512 masked stores, gathers or masked loads, so an overrun
     # inside an AVX-512 kernel stays silent on hosts that dispatch to
     # it.
-    APOLLO_NO_AVX512=1 APOLLO_NO_AVX2=1 \
+    APOLLO_NO_AVX512=1 \
         ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$suites"
 fi
 echo "sanitizer run clean (${SANITIZER})"
